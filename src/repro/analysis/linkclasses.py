@@ -23,9 +23,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sinr.geometry import nearest_neighbor_distances
+from repro.sinr.geometry import NearestActiveNeighbors, nearest_neighbor_distances
 
-__all__ = ["LinkClassPartition", "link_class_partition", "LinkClassTracker"]
+__all__ = [
+    "LinkClassPartition",
+    "LinkClassTracker",
+    "class_indices",
+    "classify_active",
+    "link_class_partition",
+]
 
 
 @dataclass(frozen=True)
@@ -81,10 +87,71 @@ class LinkClassPartition:
         return {index: len(ids) for index, ids in self.members.items()}
 
 
+#: How close ``np.log2`` may come to an integer before :func:`class_indices`
+#: re-derives the class with ``math.log2``. ``np.log2`` can differ from
+#: the C library's ``log2`` by an ulp (about 1e-14 at class 60), and only
+#: a logarithm that sits at an integer can have its floor moved by that.
+_BOUNDARY_TOLERANCE = 2.0**-30
+
+
+def class_indices(ratios: np.ndarray) -> np.ndarray:
+    """``floor(log2(r))`` per ratio, as ``math.floor(math.log2(r))`` gives it.
+
+    The class index is taken from the *rounded* ``log2``, not from the
+    binary exponent: a ratio one ulp below ``2**k`` (``k >= 3``) has a
+    ``log2`` that rounds to ``k``, so it lands in class ``k``. Vectorised
+    with ``np.log2``; entries whose logarithm lies within
+    ``_BOUNDARY_TOLERANCE`` of an integer, and non-finite ones, are
+    recomputed with ``math.log2`` (which also raises exactly as the scalar
+    form would on zero or negative ratios).
+    """
+    ratios = np.asarray(ratios, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log2(ratios)
+        clear = np.abs(logs - np.rint(logs)) > _BOUNDARY_TOLERANCE
+    indices = np.empty(ratios.shape, dtype=np.int64)
+    indices[clear] = np.floor(logs[clear])
+    for position in np.flatnonzero(~clear):
+        indices.flat[position] = math.floor(math.log2(ratios.flat[position]))
+    return indices
+
+
+def classify_active(
+    distances: np.ndarray,
+    active: Optional[np.ndarray] = None,
+    unit: Optional[float] = None,
+    nearest=None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[float]]:
+    """The link classes as arrays: ``(node ids, class indices, unit)``.
+
+    ``ids`` are the ascending ids of the nodes in some class and
+    ``classes[j]`` is the class of ``ids[j]``; the arguments are
+    :func:`link_class_partition`'s, which builds its dictionaries from
+    this. ``unit`` comes back resolved (``None`` only when no node has an
+    active neighbor and none was given).
+    """
+    if nearest is None:
+        nearest = nearest_neighbor_distances(distances, active)
+    elif isinstance(nearest, NearestActiveNeighbors):
+        if active is None:
+            active = np.ones(distances.shape[0], dtype=bool)
+        nearest = nearest.sync(active)
+    ids = np.flatnonzero(np.isfinite(nearest))
+    if not ids.size:
+        return ids, np.empty(0, dtype=np.int64), unit
+    values = nearest[ids]
+    if unit is None:
+        unit = float(values.min())
+    if unit <= 0.0:
+        raise ValueError(f"unit must be positive (got {unit})")
+    return ids, class_indices(values / unit), unit
+
+
 def link_class_partition(
     distances: np.ndarray,
     active: Optional[np.ndarray] = None,
     unit: Optional[float] = None,
+    nearest=None,
 ) -> LinkClassPartition:
     """Partition the active nodes into the paper's link classes.
 
@@ -99,26 +166,29 @@ def link_class_partition(
         nearest-neighbor distance among the currently active nodes; pass
         the *initial* shortest link explicitly when tracking an execution
         so class indices stay comparable across rounds.
+    nearest:
+        Optional source of the nearest active distances, instead of a
+        from-scratch :func:`~repro.sinr.geometry.nearest_neighbor_distances`
+        pass: either that function's result for ``active``, or a
+        :class:`~repro.sinr.geometry.NearestActiveNeighbors` tracker, which
+        is synced to ``active`` first. The partition is the same either way.
     """
-    n = distances.shape[0]
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    nearest = nearest_neighbor_distances(distances, active)
-    finite = np.isfinite(nearest)
-    if not finite.any():
+    ids, classes, unit = classify_active(distances, active, unit, nearest)
+    if not ids.size:
         return LinkClassPartition(class_of={}, members={}, unit=unit or 1.0)
-    if unit is None:
-        unit = float(nearest[finite].min())
-    if unit <= 0.0:
-        raise ValueError(f"unit must be positive (got {unit})")
-
-    class_of: Dict[int, int] = {}
-    buckets: Dict[int, List[int]] = {}
-    for node_id in np.flatnonzero(finite):
-        index = math.floor(math.log2(nearest[node_id] / unit))
-        class_of[int(node_id)] = index
-        buckets.setdefault(index, []).append(int(node_id))
-    members = {index: tuple(sorted(ids)) for index, ids in buckets.items()}
+    class_of = dict(zip(ids.tolist(), classes.tolist()))
+    labels, first, inverse = np.unique(
+        classes, return_index=True, return_inverse=True
+    )
+    grouped = np.split(
+        ids[np.argsort(inverse, kind="stable")],
+        np.cumsum(np.bincount(inverse))[:-1],
+    )
+    # Classes in order of their lowest member, as a scan over node ids
+    # would first meet them.
+    members = {
+        int(labels[k]): tuple(grouped[k].tolist()) for k in np.argsort(first)
+    }
     return LinkClassPartition(class_of=class_of, members=members, unit=unit)
 
 
@@ -134,8 +204,9 @@ class LinkClassTracker:
 
     def __init__(self, distances: np.ndarray, unit: Optional[float] = None) -> None:
         self.distances = distances
+        self._nearest = NearestActiveNeighbors(distances)
         if unit is None:
-            nearest = nearest_neighbor_distances(distances)
+            nearest = self._nearest.sync(np.ones(distances.shape[0], dtype=bool))
             finite = nearest[np.isfinite(nearest)]
             unit = float(finite.min()) if finite.size else 1.0
         self.unit = unit
@@ -144,7 +215,7 @@ class LinkClassTracker:
     def observe(self, record, active_mask: np.ndarray) -> None:
         """Engine observer: snapshot the partition after a round."""
         partition = link_class_partition(
-            self.distances, active=active_mask, unit=self.unit
+            self.distances, active=active_mask, unit=self.unit, nearest=self._nearest
         )
         self.history.append(partition)
 

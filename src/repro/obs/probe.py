@@ -36,9 +36,17 @@ recorder snapshots back for order-preserving merging, so a sharded run's
 Zero cost when disabled — the same contract as the metrics registry: the
 process-global bus defaults to ``enabled = False`` and every hot path
 guards on that one attribute read. Enabling is opt-in per run
-(``python -m repro.experiments <id> --telemetry-dir DIR --probes``), and
-the probes-enabled overhead is tracked in ``BENCH_core.json``
-(``fast_path_execution_probes``).
+(``python -m repro.experiments <id> --telemetry-dir DIR --probes``).
+When enabled, the dominant per-round cost is the link-class partition;
+the simulation paths keep it incremental with one
+:class:`~repro.sinr.geometry.NearestActiveNeighbors` per execution,
+passed to :func:`link_class_round_stats`. The probes-enabled overhead is
+tracked in ``BENCH_core.json`` (``fast_path_execution_probes``) and
+measured end to end by the repository benchmark's ``probed_fast``
+workload (``python3 perfbench/run.py --workload probed_fast``: 20
+fast-path trials at ``n = 1024`` inside a probing
+:class:`~repro.obs.telemetry.TelemetrySession`; ``--trace 1`` splits
+out ``obs.probe.class_stats_s``).
 """
 
 from __future__ import annotations
@@ -132,6 +140,7 @@ def link_class_round_stats(
     distances: np.ndarray,
     active_mask: np.ndarray,
     knocked_ids: Sequence[int],
+    nearest=None,
 ) -> Tuple[Tuple[int, int, int], ...]:
     """Per-class ``(index, size_before, knocked)`` for one round.
 
@@ -139,18 +148,27 @@ def link_class_round_stats(
     unit (shortest nearest-neighbour link among the currently active
     nodes) — exactly the partition E5 measures, so the offline analyzer
     reproduces the experiment's own knockout-fraction numbers.
-    """
-    from repro.analysis.linkclasses import link_class_partition
 
-    partition = link_class_partition(distances, active=active_mask)
-    knocked_per_class: Dict[int, int] = {}
-    for node in knocked_ids:
-        index = partition.class_of.get(int(node))
-        if index is not None:
-            knocked_per_class[index] = knocked_per_class.get(index, 0) + 1
+    ``nearest`` is :func:`~repro.analysis.linkclasses.link_class_partition`'s:
+    the simulation paths pass a per-execution
+    :class:`~repro.sinr.geometry.NearestActiveNeighbors`, so its upkeep
+    happens inside this call and costs only the rows the round changed.
+    """
+    from repro.analysis.linkclasses import classify_active
+
+    ids, classes, _ = classify_active(distances, active_mask, None, nearest)
+    if not ids.size:
+        return ()
+    lowest = int(classes.min())
+    offsets = classes - lowest
+    sizes = np.bincount(offsets)
+    offset_of = np.full(len(active_mask), -1, dtype=np.int64)
+    offset_of[ids] = offsets
+    knocked = offset_of[np.asarray(knocked_ids, dtype=np.intp)]
+    knocked = np.bincount(knocked[knocked >= 0], minlength=sizes.size)
     return tuple(
-        (index, len(members), knocked_per_class.get(index, 0))
-        for index, members in sorted(partition.members.items())
+        (lowest + int(k), int(sizes[k]), int(knocked[k]))
+        for k in np.flatnonzero(sizes)
     )
 
 
@@ -328,6 +346,7 @@ _COLUMNS: Tuple[Tuple[str, object], ...] = (
     ("exec_rounds", np.int64),
     ("exec_solved", np.int64),
 )
+_DTYPES: Dict[str, object] = dict(_COLUMNS)
 
 
 class ProbeRecorder:
@@ -341,15 +360,33 @@ class ProbeRecorder:
     the parallel runner reassembles worker shards (workers own contiguous
     ascending trial ranges, so absorbing in worker order preserves the
     serial row order exactly).
+
+    Storage: each column is a list of typed numpy chunks followed by a
+    list of pending Python scalars. Per-round probes append scalars; a
+    SINR probe or an absorbed snapshot appends one chunk per column, after
+    first turning that column's pending scalars into a chunk so the row
+    order is kept.
     """
 
     def __init__(self) -> None:
-        self._columns: Dict[str, List] = {name: [] for name, _ in _COLUMNS}
+        self._chunks: Dict[str, List[np.ndarray]] = {name: [] for name, _ in _COLUMNS}
+        self._pending: Dict[str, List] = {name: [] for name, _ in _COLUMNS}
+
+    def _append_chunk(self, name: str, values) -> None:
+        pending = self._pending[name]
+        if pending:
+            self._chunks[name].append(np.asarray(pending, dtype=_DTYPES[name]))
+            self._pending[name] = []
+        self._chunks[name].append(np.array(values, dtype=_DTYPES[name]))
+
+    def _length(self, name: str) -> int:
+        chunked = sum(len(chunk) for chunk in self._chunks[name])
+        return chunked + len(self._pending[name])
 
     # -- bus subscriber interface ----------------------------------------
 
     def on_round(self, probe: RoundProbe) -> None:
-        cols = self._columns
+        cols = self._pending
         cols["rounds_trial"].append(probe.trial)
         cols["rounds_round"].append(probe.round_index)
         cols["rounds_active"].append(probe.active_before)
@@ -368,20 +405,22 @@ class ProbeRecorder:
             cols["deact_round"].append(probe.round_index)
 
     def on_sinr(self, probe: SINRProbe) -> None:
-        cols = self._columns
         count = len(probe.receivers)
-        cols["sinr_trial"].extend([probe.trial] * count)
-        cols["sinr_round"].extend([probe.round_index] * count)
-        cols["sinr_receiver"].extend(int(r) for r in probe.receivers)
-        cols["sinr_value"].extend(float(s) for s in probe.sinr)
-        cols["sinr_margin"].extend(float(s) - probe.beta for s in probe.sinr)
-        cols["sinr_beta"].extend([probe.beta] * count)
-        cols["sinr_delivered"].extend(bool(d) for d in probe.delivered)
-        cols["sinr_top_interferer"].extend(int(t) for t in probe.top_interferer)
-        cols["sinr_top_fraction"].extend(float(f) for f in probe.top_fraction)
+        if not count:
+            return
+        sinr = np.asarray(probe.sinr, dtype=np.float64)
+        self._append_chunk("sinr_trial", np.full(count, probe.trial))
+        self._append_chunk("sinr_round", np.full(count, probe.round_index))
+        self._append_chunk("sinr_receiver", probe.receivers)
+        self._append_chunk("sinr_value", sinr)
+        self._append_chunk("sinr_margin", sinr - probe.beta)
+        self._append_chunk("sinr_beta", np.full(count, probe.beta))
+        self._append_chunk("sinr_delivered", probe.delivered)
+        self._append_chunk("sinr_top_interferer", probe.top_interferer)
+        self._append_chunk("sinr_top_fraction", probe.top_fraction)
 
     def on_execution_end(self, probe: ExecutionProbe) -> None:
-        cols = self._columns
+        cols = self._pending
         cols["exec_trial"].append(probe.trial)
         cols["exec_n"].append(probe.n)
         cols["exec_rounds"].append(probe.rounds_executed)
@@ -393,25 +432,28 @@ class ProbeRecorder:
 
     @property
     def executions_recorded(self) -> int:
-        return len(self._columns["exec_trial"])
+        return self._length("exec_trial")
 
     @property
     def rounds_recorded(self) -> int:
-        return len(self._columns["rounds_trial"])
+        return self._length("rounds_trial")
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """All columns as typed numpy arrays (empty columns included)."""
-        return {
-            name: np.asarray(self._columns[name], dtype=dtype)
-            for name, dtype in _COLUMNS
-        }
+        columns = {}
+        for name, dtype in _COLUMNS:
+            chunks = self._chunks[name] + [
+                np.asarray(self._pending[name], dtype=dtype)
+            ]
+            columns[name] = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+        return columns
 
     def absorb(self, snapshot: Dict[str, np.ndarray]) -> None:
         """Append another recorder's snapshot (shard reassembly)."""
         for name, _ in _COLUMNS:
             values = snapshot.get(name)
-            if values is not None:
-                self._columns[name].extend(np.asarray(values).tolist())
+            if values is not None and len(values):
+                self._append_chunk(name, values)
 
     def write(self, path: PathLike) -> Path:
         """Write the recorder as a compressed ``probes.npz``.

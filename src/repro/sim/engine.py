@@ -37,6 +37,7 @@ from repro.obs.probe import get_probe_bus, link_class_round_stats
 from repro.obs.registry import get_registry
 from repro.protocols.base import Action, Feedback, NodeProtocol
 from repro.radio.channel import RadioChannel
+from repro.sinr.geometry import NearestActiveNeighbors
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
 __all__ = ["Simulation"]
@@ -153,6 +154,8 @@ class Simulation:
         if probing:
             bus.begin_execution(n=self.channel.n)
             distances = getattr(self.channel, "distances", None)
+            if distances is not None:
+                nearest = NearestActiveNeighbors(distances)
         if recording:
             obs.counter("sim.executions").inc()
             c_rounds = obs.counter("sim.rounds")
@@ -205,7 +208,9 @@ class Simulation:
                     knocked_ids=knocked_out,
                     pending=int(np.count_nonzero(self.activation > round_index)),
                     class_stats=(
-                        link_class_round_stats(distances, mask_before, knocked_out)
+                        link_class_round_stats(
+                            distances, mask_before, knocked_out, nearest=nearest
+                        )
                         if distances is not None and active_ids.size > 0
                         else ()
                     ),

@@ -27,6 +27,7 @@ import numpy as np
 from repro.obs.probe import get_probe_bus, link_class_round_stats
 from repro.obs.registry import get_registry
 from repro.sinr.channel import SINRChannel
+from repro.sinr.geometry import NearestActiveNeighbors
 
 __all__ = ["FastRunResult", "FastRoundTelemetry", "fast_fixed_probability_run"]
 
@@ -117,6 +118,7 @@ def fast_fixed_probability_run(
     probing = bus.enabled
     if probing:
         bus.begin_execution(n=n)
+        nearest = NearestActiveNeighbors(channel.distances)
 
     active = np.ones(n, dtype=bool)
     active_counts: List[int] = []
@@ -155,7 +157,7 @@ def fast_fixed_probability_run(
                     tx_count=1,
                     knockouts=0,
                     class_stats=link_class_round_stats(
-                        channel.distances, active, ()
+                        channel.distances, active, (), nearest=nearest
                     ),
                 )
                 bus.end_execution(round_index + 1, round_index)
@@ -218,7 +220,7 @@ def fast_fixed_probability_run(
                 knockouts=knockouts,
                 knocked_ids=knocked_nodes,
                 class_stats=link_class_round_stats(
-                    channel.distances, mask_before, knocked_nodes
+                    channel.distances, mask_before, knocked_nodes, nearest=nearest
                 ),
             )
 

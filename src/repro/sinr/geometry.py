@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "pairwise_distances",
     "nearest_neighbor_distances",
+    "NearestActiveNeighbors",
     "points_in_ball",
     "exponential_annulus",
     "annulus_counts",
@@ -77,15 +78,100 @@ def nearest_neighbor_distances(
         inactive or has no other active node (the "last node standing" is
         in no link class).
     """
-    n = distances.shape[0]
     if active is None:
-        active = np.ones(n, dtype=bool)
-    masked = np.where(active[None, :], distances, np.inf).astype(np.float64, copy=True)
-    np.fill_diagonal(masked, np.inf)
-    result = np.full(n, np.inf)
-    if active.any():
-        result[active] = masked[active].min(axis=1)
-    return result
+        active = np.ones(distances.shape[0], dtype=bool)
+    return NearestActiveNeighbors(distances).sync(active)
+
+
+#: Distance cells per row chunk when :class:`NearestActiveNeighbors` scans
+#: rows (512 KiB of float64): the scan never holds an ``(n, n)`` copy,
+#: and chunks this size stay in cache.
+_CHUNK_CELLS = 1 << 16
+
+
+def _row_minima(distances: np.ndarray, rows: np.ndarray, columns: np.ndarray):
+    """Per row, the smallest distance to ``columns`` other than itself.
+
+    Returns ``(values, positions)``: ``values[j]`` is the minimum of
+    ``distances[rows[j], columns]`` with ``rows[j]``'s own column (if
+    present) read as ``inf``, and ``positions[j]`` indexes ``columns``
+    where it occurs. ``columns`` must be ascending. Rows are scanned in
+    chunks of at most ``_CHUNK_CELLS`` cells.
+    """
+    n = distances.shape[1]
+    values = np.empty(rows.size)
+    positions = np.empty(rows.size, dtype=np.intp)
+    own = np.minimum(np.searchsorted(columns, rows), max(columns.size - 1, 0))
+    has_own = columns[own] == rows
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    for start in range(0, rows.size, step):
+        chunk = slice(start, start + step)
+        block = distances.take(rows[chunk], axis=0)
+        if columns.size < n:
+            block = block.take(columns, axis=1)
+        local = np.arange(block.shape[0])
+        block[local[has_own[chunk]], own[chunk][has_own[chunk]]] = np.inf
+        best = block.argmin(axis=1)
+        positions[chunk] = best
+        values[chunk] = block[local, best]
+    return values, positions
+
+
+class NearestActiveNeighbors:
+    """Each active node's nearest active neighbor, kept current incrementally.
+
+    ``sync(active)`` returns what :func:`nearest_neighbor_distances`
+    returns for ``active`` (that function is one sync of a fresh
+    tracker), but only the first call pays the O(n^2) scan of the
+    active submatrix. Later calls diff the new mask against the last one:
+
+    * a node that left drops out, and the nodes whose stored nearest
+      neighbor was among the leavers are recomputed over the active
+      columns only;
+    * a node that joined gets its own row, and every other active node
+      folds in its distance to the joiners with one ``min``.
+
+    ``min`` is exact, so the incremental values equal the from-scratch
+    ones. The tracker holds three length-``n`` arrays, and its scans
+    work in row chunks, so it never copies the ``(n, n)`` matrix.
+    Simulation paths build one per execution and sync it with the
+    pre-round active set, which shrinks by knockouts and grows by
+    wake-ups under staggered activation.
+    """
+
+    def __init__(self, distances: np.ndarray) -> None:
+        self.distances = np.asarray(distances, dtype=np.float64)
+        n = self.distances.shape[0]
+        self._active = np.zeros(n, dtype=bool)
+        self._nearest = np.full(n, np.inf)
+        self._neighbor = np.full(n, -1, dtype=np.intp)
+
+    def sync(self, active: np.ndarray) -> np.ndarray:
+        """Bring the tracker to ``active`` and return the nearest distances."""
+        active = np.asarray(active, dtype=bool)
+        nearest, neighbor = self._nearest, self._neighbor
+        left = self._active & ~active
+        joined = active & ~self._active
+        if left.any() or joined.any():
+            stayed = self._active & active
+            nearest[left] = np.inf
+            neighbor[left] = -1
+            stale = stayed & (neighbor >= 0) & left[neighbor]
+            rows = np.flatnonzero(stale | joined)
+            if rows.size:
+                columns = np.flatnonzero(active)
+                values, best = _row_minima(self.distances, rows, columns)
+                nearest[rows] = values
+                neighbor[rows] = np.where(np.isfinite(values), columns[best], -1)
+            kept = np.flatnonzero(stayed & ~stale)
+            joiners = np.flatnonzero(joined)
+            if kept.size and joiners.size:
+                values, best = _row_minima(self.distances, kept, joiners)
+                closer = values < nearest[kept]
+                nearest[kept[closer]] = values[closer]
+                neighbor[kept[closer]] = joiners[best[closer]]
+            self._active = active.copy()
+        return nearest.copy()
 
 
 def points_in_ball(

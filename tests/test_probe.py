@@ -214,6 +214,127 @@ class TestRecorderRoundTrip:
         assert snap["sinr_delivered"].dtype == np.bool_
 
 
+def _emit_sinr(bus, receivers, sinr, beta=1.5):
+    receivers = np.asarray(receivers, dtype=np.int64)
+    bus.emit_sinr(
+        receivers=receivers,
+        sinr=np.asarray(sinr, dtype=np.float64),
+        delivered=np.asarray(sinr, dtype=np.float64) >= beta,
+        top_interferer=receivers + 100,
+        top_fraction=np.linspace(0.0, 1.0, receivers.size),
+        beta=beta,
+    )
+
+
+class TestChunkedRecorder:
+    """SINR rows are stored as numpy chunks; the snapshot must not notice."""
+
+    def _session(self, recorder, trial, sinr_rounds):
+        bus = ProbeBus(enabled=True)
+        bus.subscribe(recorder)
+        bus.set_trial(trial)
+        bus.begin_execution(n=8)
+        for round_index, (receivers, sinr) in enumerate(sinr_rounds):
+            bus.begin_round(round_index)
+            _emit_sinr(bus, receivers, sinr)
+            bus.emit_round(
+                active_before=8 - round_index,
+                tx_count=1,
+                knockouts=1,
+                knocked_ids=(round_index,),
+                class_stats=((0, 8 - round_index, 1),),
+            )
+        bus.end_execution(len(sinr_rounds), None)
+
+    def test_mixed_empty_and_nonempty_sinr_probes(self):
+        recorder = ProbeRecorder()
+        rounds = [([3, 4, 5], [0.5, 2.0, np.inf]), ([], []), ([6], [1.5]), ([], [])]
+        self._session(recorder, trial=4, sinr_rounds=rounds)
+        snap = recorder.snapshot()
+        assert snap["sinr_trial"].tolist() == [4, 4, 4, 4]
+        assert snap["sinr_round"].tolist() == [0, 0, 0, 2]
+        assert snap["sinr_receiver"].tolist() == [3, 4, 5, 6]
+        assert snap["sinr_value"].tolist() == [0.5, 2.0, np.inf, 1.5]
+        assert snap["sinr_margin"].tolist() == [0.5 - 1.5, 2.0 - 1.5, np.inf, 0.0]
+        assert snap["sinr_beta"].tolist() == [1.5] * 4
+        assert snap["sinr_delivered"].tolist() == [False, True, True, True]
+        assert snap["sinr_top_interferer"].tolist() == [103, 104, 105, 106]
+        assert snap["sinr_top_fraction"].tolist() == [0.0, 0.5, 1.0, 0.0]
+        assert snap["rounds_round"].tolist() == [0, 1, 2, 3]
+        assert recorder.rounds_recorded == 4
+        assert recorder.executions_recorded == 1
+
+    def test_absorb_into_recorder_holding_chunks(self):
+        first, second, third = ProbeRecorder(), ProbeRecorder(), ProbeRecorder()
+        self._session(first, 0, [([1, 2], [0.1, 3.0]), ([], [])])
+        self._session(second, 1, [([3], [2.5]), ([4, 5, 6], [1.0, 1.6, 9.0])])
+        self._session(third, 2, [([], []), ([7], [0.2])])
+
+        merged = ProbeRecorder()
+        self._session(merged, 0, [([1, 2], [0.1, 3.0]), ([], [])])
+        merged.absorb(second.snapshot())
+        self._session(merged, 2, [([], []), ([7], [0.2])])
+
+        expected = {
+            name: np.concatenate(
+                [first.snapshot()[name], second.snapshot()[name], third.snapshot()[name]]
+            )
+            for name in first.snapshot()
+        }
+        snap = merged.snapshot()
+        for name, values in expected.items():
+            assert np.array_equal(snap[name], values), name
+            assert snap[name].dtype == values.dtype, name
+        assert merged.rounds_recorded == 6
+        assert merged.executions_recorded == 3
+        assert snap["sinr_trial"].tolist() == [0, 0, 1, 1, 1, 1, 2]
+
+    def test_every_column_keeps_its_dtype(self, tmp_path):
+        from repro.obs.probe import _COLUMNS
+
+        only_rounds = ProbeRecorder()
+        self._session(only_rounds, 0, [([], [])])
+        only_sinr = ProbeRecorder()
+        bus = ProbeBus(enabled=True)
+        bus.subscribe(only_sinr)
+        _emit_sinr(bus, [1, 2], [1.0, 2.0])
+        absorbed = ProbeRecorder()
+        absorbed.absorb(only_sinr.snapshot())
+        absorbed.absorb(only_rounds.snapshot())
+        for recorder in (ProbeRecorder(), only_rounds, only_sinr, absorbed):
+            snap = recorder.snapshot()
+            loaded = load_probes(recorder.write(tmp_path / PROBES_FILENAME))
+            assert list(snap) == [name for name, _ in _COLUMNS]
+            for name, dtype in _COLUMNS:
+                assert snap[name].dtype == np.dtype(dtype), name
+                assert snap[name].ndim == 1, name
+                assert loaded[name].dtype == np.dtype(dtype), name
+        assert only_rounds.snapshot()["sinr_value"].size == 0
+        assert only_sinr.snapshot()["rounds_trial"].size == 0
+
+    def test_snapshot_does_not_alias_published_arrays(self):
+        recorder = ProbeRecorder()
+        bus = ProbeBus(enabled=True)
+        bus.subscribe(recorder)
+        receivers = np.array([1, 2], dtype=np.int64)
+        sinr = np.array([0.5, 2.0])
+        bus.emit_sinr(
+            receivers=receivers,
+            sinr=sinr,
+            delivered=sinr >= 1.0,
+            top_interferer=receivers,
+            top_fraction=sinr,
+            beta=1.0,
+        )
+        receivers[:] = 99
+        sinr[:] = -1.0
+        snap = recorder.snapshot()
+        assert snap["sinr_receiver"].tolist() == [1, 2]
+        assert snap["sinr_value"].tolist() == [0.5, 2.0]
+        snap["sinr_value"][:] = 7.0
+        assert recorder.snapshot()["sinr_value"].tolist() == [0.5, 2.0]
+
+
 class TestLinkClassRoundStats:
     def test_matches_partition_sizes(self):
         from repro.analysis.linkclasses import link_class_partition
