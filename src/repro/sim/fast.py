@@ -6,7 +6,8 @@ round. The paper's algorithm has no per-node state beyond active/inactive
 and a constant probability, so a whole execution collapses into numpy:
 
 * coin flips: one ``rng.random(n_active)`` per round;
-* reception: the same gain-matrix reductions the channel uses;
+* reception: the channel's own decode kernel
+  (:func:`repro.sinr.channel.decode_round`);
 * knockout: a boolean mask update.
 
 ``fast_fixed_probability_run`` is behaviourally equivalent to running
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.obs.probe import get_probe_bus, link_class_round_stats
 from repro.obs.registry import get_registry
-from repro.sinr.channel import SINRChannel
+from repro.sinr.channel import SINRChannel, decode_round, emit_sinr_probe
 from repro.sinr.geometry import NearestActiveNeighbors
 
 __all__ = ["FastRunResult", "FastRoundTelemetry", "fast_fixed_probability_run"]
@@ -173,41 +174,13 @@ def fast_fixed_probability_run(
         if tx.size > 0:
             listeners = active_ids[~coins]
             if listeners.size > 0:
-                rows = gains[tx][:, listeners]
-                totals = rows.sum(axis=0) + static_external[listeners]
+                decode = decode_round(
+                    gains, tx, listeners, static_external[listeners], params
+                )
+                knocked_nodes = listeners[decode.decoded]
+                knockouts = int(knocked_nodes.size)
                 if probing:
-                    # argmax instead of max: same best value bit-for-bit,
-                    # but keeps the winning row for the SINR probe. No
-                    # extra RNG draws — probes never perturb the run.
-                    cols = np.arange(listeners.size)
-                    best_rows = rows.argmax(axis=0)
-                    best = rows[best_rows, cols]
-                else:
-                    best = rows.max(axis=0)
-                interference = totals - best
-                decoded = best >= params.beta * (params.noise + interference)
-                knockouts = int(np.count_nonzero(decoded))
-                knocked_nodes = listeners[decoded]
-                if probing:
-                    denom = params.noise + interference
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        sinr = np.where(denom > 0.0, best / denom, np.inf)
-                    others = rows.copy()
-                    others[best_rows, cols] = -np.inf
-                    second_rows = others.argmax(axis=0)
-                    second = others[second_rows, cols]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        top_frac = np.where(
-                            interference > 0.0, second / interference, 0.0
-                        )
-                    bus.emit_sinr(
-                        receivers=listeners.astype(np.int64),
-                        sinr=sinr,
-                        delivered=decoded,
-                        top_interferer=tx[second_rows].astype(np.int64),
-                        top_fraction=top_frac,
-                        beta=params.beta,
-                    )
+                    emit_sinr_probe(bus, decode, tx, listeners, params)
                 active[knocked_nodes] = False
         if telemetry is not None:
             telemetry(round_index, num_active, int(tx.size), knockouts)

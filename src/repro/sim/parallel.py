@@ -1,4 +1,4 @@
-"""Parallel trial execution with bit-exact seed sharding.
+"""Trial execution: one entry loop, in-process or sharded bit-exactly.
 
 Every quantitative claim in the paper is statistical, so wall time per
 claim is dominated by how fast independent trials can be executed.
@@ -28,9 +28,14 @@ function of ``(seed, trial_index)`` and never of the worker count, the
 shard layout or the scheduling order. Results are reassembled in trial
 order.
 
-Workers execute :func:`repro.sim.runner.execute_trial` — the *same*
-function the serial loop runs — so behavioural parity holds by
-construction.
+One entry loop over ``(trial, deploy_seed, protocol_seed)`` runs every
+trial, in both modes (the generic engine via
+:func:`repro.sim.runner.execute_trial`, or the fast path). A serial run
+is a single shard iterated in-process, with no queue and no pickling; a
+worker iterates its shard with the same loop and forwards each outcome.
+One tally turns outcomes from either source into ``runner.*``
+telemetry and :class:`~repro.sim.runner.TrialStats`, so behavioural
+parity holds by construction.
 
 Spawn safety
 ------------
@@ -50,10 +55,10 @@ When the parent's registry is enabled, each worker installs a local
 enabled :class:`~repro.obs.registry.MetricsRegistry` and a
 :class:`~repro.obs.events.QueueEventSink` that forwards every event it
 emits — tagged with a ``worker_id`` field — through the result queue into
-the parent's global sink. Per-trial timings stream back the same way; the
-parent feeds the ``runner.*`` counters, emits the ~1 Hz
-``trials_progress`` heartbeats (with a ``workers`` field) and, when each
-shard finishes, merges the worker's metrics snapshot into its own
+the parent's global sink. Per-trial outcomes stream back the same way
+into the tally, which feeds the ``runner.*`` counters and emits the ~1 Hz
+``trials_progress`` heartbeats (with a ``workers`` field). When each
+shard finishes, the parent merges the worker's metrics snapshot into its
 registry (:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`) so
 ``metrics.json`` totals match a serial run.
 
@@ -90,7 +95,7 @@ import queue as queue_module
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -98,7 +103,6 @@ from repro.obs.events import QueueEventSink, get_sink, set_sink
 from repro.obs.probe import ProbeBus, ProbeRecorder, get_probe_bus, set_probe_bus
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.protocols.base import ProtocolFactory
-from repro.sim.batched import fast_fixed_probability_batch
 from repro.sim.fast import fast_fixed_probability_run
 from repro.sim.runner import ChannelFactory, TrialStats, execute_trial
 from repro.sim.seeding import SeedLike, spawn_seed_sequences
@@ -111,9 +115,6 @@ __all__ = [
     "default_workers",
     "get_default_workers",
     "set_default_workers",
-    "default_batch",
-    "get_default_batch",
-    "set_default_batch",
     "partition_trials",
     "run_trials_parallel",
     "run_fast_trials",
@@ -126,8 +127,7 @@ __all__ = [
 #: construct the channel once per shard and share it read-only.
 DETERMINISTIC_ATTR = "deterministic"
 
-#: Seconds between ``trials_progress`` heartbeat events (matches the
-#: serial runner's cadence).
+#: Seconds between ``trials_progress`` heartbeat events.
 _HEARTBEAT_SECONDS = 1.0
 
 #: Seconds the parent waits on the result queue before re-checking worker
@@ -192,45 +192,6 @@ def default_workers(workers: int):
         yield
     finally:
         set_default_workers(previous)
-
-
-# ---------------------------------------------------------------------------
-# Batch-size default (the `--batch` CLI plumbing)
-
-_default_batch_size = 1
-
-
-def get_default_batch() -> int:
-    """The process-wide batch size ``run_fast_trials`` falls back to."""
-    return _default_batch_size
-
-
-def set_default_batch(batch: int) -> int:
-    """Install a new default batch size; returns the previous one."""
-    global _default_batch_size
-    if batch < 1:
-        raise ValueError(f"batch must be positive (got {batch})")
-    previous = _default_batch_size
-    _default_batch_size = batch
-    return previous
-
-
-@contextlib.contextmanager
-def default_batch(batch: int):
-    """Scope a default batch size to a ``with`` block.
-
-    ``python -m repro.experiments <id> --batch B`` wraps the experiment
-    run in this context, so every ``run_fast_trials`` call inside — none
-    of which knows about batch sizes — executes its trials through the
-    batched kernel (:mod:`repro.sim.batched`). Like ``default_workers``
-    this is a pure performance knob: per-trial bit-exactness makes the
-    batch size invisible in every result.
-    """
-    previous = set_default_batch(batch)
-    try:
-        yield
-    finally:
-        set_default_batch(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +271,19 @@ def partition_trials(trials: int, shards: int) -> List[List[int]]:
     return partition
 
 
+
+
+# ---------------------------------------------------------------------------
+# The entry loop (serial runs are one in-process shard)
+
+#: ``(trial_index, deploy_seed, protocol_seed)``: one trial's identity and
+#: entropy, the unit every runner iterates over.
+_Entry = Tuple[int, np.random.SeedSequence, np.random.SeedSequence]
+
+
 @dataclass
 class _ShardSpec:
-    """Everything one worker needs — deliberately pickle-friendly."""
+    """Everything one shard needs — deliberately pickle-friendly."""
 
     worker_id: int
     mode: str  # "engine" | "fast"
@@ -321,60 +292,143 @@ class _ShardSpec:
     keep_traces: bool
     recording: bool
     probing: bool = False
-    #: ``(trial_index, deploy_seed, protocol_seed)`` triples.
-    entries: List[Tuple[int, np.random.SeedSequence, np.random.SeedSequence]] = field(
-        default_factory=list
-    )
+    entries: List[_Entry] = field(default_factory=list)
     protocol: Optional[ProtocolFactory] = None  # engine mode
     p: float = 0.0  # fast mode
-    #: Batched-kernel group size for fast mode (1 = per-trial execution).
-    batch: int = 1
 
 
-def _iter_fast_groups(
-    channel_factory: ChannelFactory,
-    p: float,
-    entries: List[Tuple[int, np.random.SeedSequence, np.random.SeedSequence]],
-    max_rounds: int,
-    batch: int,
-    shared_channel,
-):
-    """Run fast-path entries through the batched kernel, group by group.
+class _TrialOutcome(NamedTuple):
+    """What one trial reports back to the tally (picklable)."""
 
-    Yields ``(group, outcomes, elapsed)`` where ``group`` is the slice of
-    ``entries`` executed together and ``outcomes[i]`` is the
-    :class:`~repro.sim.fast.FastRunResult` for ``group[i]`` — bit-exact
-    per trial regardless of the grouping (the batched kernel's headline
-    guarantee), so both the serial runner and the shard workers share
-    this code path and ``workers=K, batch=B`` composes with serial.
+    trial: int
+    solved: bool
+    rounds_to_solve: Optional[int]
+    rounds_executed: int
+    elapsed: float
+    trace: Optional[object]
 
-    Only a deterministic factory's trials are actually grouped (``batch``
-    at a time on the shared channel). A stochastic factory resamples the
-    deployment per trial, which leaves the batched kernel nothing to
-    fuse — every trial owns a different gain matrix — while holding a
-    group of ``(n, n)`` matrices alive measurably slows deployment
-    construction; those trials therefore run one at a time. Either way
-    the kernel's per-trial bit-exactness makes the grouping invisible in
-    the results.
+
+def _run_entries(
+    spec: _ShardSpec, probe_bus: Optional[ProbeBus]
+) -> Iterator[_TrialOutcome]:
+    """Run a shard's entries in order, yielding one outcome per trial.
+
+    The single trial loop: the serial runners iterate it in-process and
+    shard workers forward what it yields. A deterministic factory's
+    channel is built once here and shared by every trial of the shard.
+    Each trial's elapsed time includes its channel construction.
     """
-    group_size = batch if shared_channel is not None else 1
-    index = 0
-    while index < len(entries):
-        group = entries[index : index + group_size]
-        if shared_channel is not None:
-            channels_arg = shared_channel
-        else:
-            channels_arg = [
-                channel_factory(np.random.default_rng(deploy_seed))
-                for _, deploy_seed, _ in group
-            ]
-        rngs = [np.random.default_rng(protocol_seed) for _, _, protocol_seed in group]
+    shared_channel = None
+    if getattr(spec.channel_factory, DETERMINISTIC_ATTR, False):
+        shared_channel = spec.channel_factory(None)
+    for trial, deploy_seed, protocol_seed in spec.entries:
+        deploy_rng = np.random.default_rng(deploy_seed)
+        protocol_rng = np.random.default_rng(protocol_seed)
+        if probe_bus is not None:
+            probe_bus.set_trial(trial)
         started = time.perf_counter()
-        outcomes = fast_fixed_probability_batch(
-            channels_arg, p, rngs, max_rounds=max_rounds
+        if spec.mode == "engine":
+            result = execute_trial(
+                spec.channel_factory,
+                spec.protocol,
+                deploy_rng,
+                protocol_rng,
+                spec.max_rounds,
+                spec.keep_traces,
+                channel=shared_channel,
+            )
+        else:
+            channel = (
+                shared_channel
+                if shared_channel is not None
+                else spec.channel_factory(deploy_rng)
+            )
+            result = fast_fixed_probability_run(
+                channel, spec.p, protocol_rng, max_rounds=spec.max_rounds
+            )
+        yield _TrialOutcome(
+            trial,
+            result.solved,
+            result.rounds_to_solve,
+            result.rounds_executed,
+            time.perf_counter() - started,
+            result if spec.keep_traces else None,
         )
-        yield group, outcomes, time.perf_counter() - started
-        index += len(group)
+
+
+class _Tally:
+    """Folds trial outcomes into ``runner.*`` telemetry and a TrialStats.
+
+    The serial runners and the sharded parent both feed it, so counters,
+    ~1 Hz ``trials_progress`` heartbeats and the final progress event
+    (``done == total``) are produced by one piece of code. A trial
+    delivered twice (a retried shard re-sends what its dead predecessor
+    already reported; the payloads are bit-identical) is counted once.
+    """
+
+    def __init__(
+        self, name: str, trials: int, keep_traces: bool, workers: Optional[int] = None
+    ) -> None:
+        self.name = name
+        self.trials = trials
+        self.keep_traces = keep_traces
+        #: Shard count, added to progress events of sharded runs only.
+        self.workers = workers
+        self.outcomes: Dict[int, _TrialOutcome] = {}
+        self.solved = 0
+        registry = get_registry()
+        self.obs = registry if registry.enabled else None
+        self.sink = get_sink() if self.obs is not None else None
+        self.started = self.last_heartbeat = time.perf_counter()
+
+    def record(self, outcome: _TrialOutcome) -> None:
+        first_delivery = outcome.trial not in self.outcomes
+        self.outcomes[outcome.trial] = outcome
+        if not first_delivery:
+            return
+        self.solved += outcome.solved
+        if self.obs is None:
+            return
+        self.obs.counter("runner.trials").inc()
+        self.obs.counter("runner.solved" if outcome.solved else "runner.failures").inc()
+        self.obs.histogram("runner.trial_seconds").observe(outcome.elapsed)
+        now = time.perf_counter()
+        if (
+            now - self.last_heartbeat >= _HEARTBEAT_SECONDS
+            and len(self.outcomes) < self.trials
+        ):
+            self.last_heartbeat = now
+            self._progress(now)
+
+    def _progress(self, now: float) -> None:
+        done = len(self.outcomes)
+        fields = dict(
+            protocol=self.name,
+            done=done,
+            total=self.trials,
+            solved=self.solved,
+            failures=done - self.solved,
+            elapsed_s=now - self.started,
+        )
+        if self.workers is not None:
+            fields["workers"] = self.workers
+        self.sink.emit("trials_progress", **fields)
+
+    def finish(self) -> TrialStats:
+        """Emit the final progress event and summarise in trial order."""
+        now = time.perf_counter()
+        if self.sink is not None:
+            self._progress(now)
+        ordered = [self.outcomes[trial] for trial in range(self.trials)]
+        return TrialStats(
+            protocol_name=self.name,
+            trials=self.trials,
+            rounds=[o.rounds_to_solve for o in ordered if o.solved],
+            failures=sum(1 for o in ordered if not o.solved),
+            traces=[o.trace for o in ordered] if self.keep_traces else None,
+            total_wall_time=now - self.started,
+            total_rounds_executed=sum(o.rounds_executed for o in ordered),
+        )
 
 
 def _shard_worker(spec: _ShardSpec, results) -> None:
@@ -409,91 +463,8 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
                 probe_bus.subscribe(monitor)
             set_probe_bus(probe_bus)
 
-        shared_channel = None
-        if getattr(spec.channel_factory, DETERMINISTIC_ATTR, False):
-            shared_channel = spec.channel_factory(None)
-
-        if (
-            spec.mode == "fast"
-            and spec.batch > 1
-            and len(spec.entries) > 1
-            and not spec.probing
-        ):
-            # Batch within the shard: same seed children, same outcomes
-            # (the kernel is bit-exact per trial), so workers x batch
-            # composes with serial. Probing shards stay on the per-trial
-            # loop below so probe rows keep their global trial indices.
-            for group, outcomes, elapsed in _iter_fast_groups(
-                spec.channel_factory,
-                spec.p,
-                spec.entries,
-                spec.max_rounds,
-                spec.batch,
-                shared_channel,
-            ):
-                per_trial = elapsed / len(group)
-                for (trial_index, _, _), outcome in zip(group, outcomes):
-                    results.put(
-                        (
-                            "trial",
-                            spec.worker_id,
-                            {
-                                "trial": trial_index,
-                                "solved": outcome.solved,
-                                "rounds_to_solve": outcome.rounds_to_solve,
-                                "rounds_executed": outcome.rounds_executed,
-                                "elapsed": per_trial,
-                                "trace": None,
-                            },
-                        )
-                    )
-            if spec.recording:
-                results.put(("metrics", spec.worker_id, registry.snapshot()))
-            results.put(("done", spec.worker_id))
-            return
-
-        for trial_index, deploy_seed, protocol_seed in spec.entries:
-            deploy_rng = np.random.default_rng(deploy_seed)
-            protocol_rng = np.random.default_rng(protocol_seed)
-            if probe_bus is not None:
-                probe_bus.set_trial(trial_index)
-            started = time.perf_counter()
-            if spec.mode == "engine":
-                trace = execute_trial(
-                    spec.channel_factory,
-                    spec.protocol,
-                    deploy_rng,
-                    protocol_rng,
-                    spec.max_rounds,
-                    spec.keep_traces,
-                    channel=shared_channel,
-                )
-                payload = {
-                    "trial": trial_index,
-                    "solved": trace.solved,
-                    "rounds_to_solve": trace.rounds_to_solve,
-                    "rounds_executed": trace.rounds_executed,
-                    "elapsed": time.perf_counter() - started,
-                    "trace": trace if spec.keep_traces else None,
-                }
-            else:
-                channel = (
-                    shared_channel
-                    if shared_channel is not None
-                    else spec.channel_factory(deploy_rng)
-                )
-                outcome = fast_fixed_probability_run(
-                    channel, spec.p, protocol_rng, max_rounds=spec.max_rounds
-                )
-                payload = {
-                    "trial": trial_index,
-                    "solved": outcome.solved,
-                    "rounds_to_solve": outcome.rounds_to_solve,
-                    "rounds_executed": outcome.rounds_executed,
-                    "elapsed": time.perf_counter() - started,
-                    "trace": None,
-                }
-            results.put(("trial", spec.worker_id, payload))
+        for outcome in _run_entries(spec, probe_bus):
+            results.put(("trial", spec.worker_id, outcome))
 
         if spec.probing:
             probe_bus.finish()
@@ -505,22 +476,74 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
         results.put(("error", spec.worker_id, traceback.format_exc()))
 
 
-def _execute_sharded(
+def _run(
     mode: str,
     channel_factory: ChannelFactory,
     trials: int,
     seed: SeedLike,
     max_rounds: int,
     keep_traces: bool,
-    workers: int,
+    workers: Optional[int],
     start_method: Optional[str],
-    protocol: Optional[ProtocolFactory],
-    p: float,
-    protocol_name: str,
-    batch: int = 1,
-    shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
+    shard_attempts: int,
+    protocol: Optional[ProtocolFactory] = None,
+    p: float = 0.0,
 ) -> TrialStats:
-    """Shared parent-side machinery for both execution modes.
+    """The front end every runner shares: validate, shard, run, tally.
+
+    ``workers=None`` consults :func:`get_default_workers`. One shard runs
+    in-process — no queue, no pickling — through the same entry loop the
+    workers run; more go to :func:`_execute_sharded`.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive (got {trials})")
+    if workers is None:
+        workers = get_default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be positive (got {workers})")
+    if shard_attempts < 1:
+        raise ValueError(f"shard_attempts must be positive (got {shard_attempts})")
+    name = protocol.name if mode == "engine" else f"fast-simple(p={p:g})"
+    recording = get_registry().enabled
+    probe_bus = get_probe_bus()
+    sequences = spawn_seed_sequences(seed, 2 * trials)
+    specs = [
+        _ShardSpec(
+            worker_id=worker_id,
+            mode=mode,
+            channel_factory=channel_factory,
+            max_rounds=max_rounds,
+            keep_traces=keep_traces,
+            recording=recording,
+            probing=probe_bus.enabled,
+            entries=[
+                (trial, sequences[2 * trial], sequences[2 * trial + 1])
+                for trial in shard
+            ],
+            protocol=protocol,
+            p=p,
+        )
+        for worker_id, shard in enumerate(partition_trials(trials, workers))
+    ]
+    if len(specs) > 1:
+        return _execute_sharded(
+            specs, name, trials, keep_traces, start_method, shard_attempts
+        )
+    tally = _Tally(name, trials, keep_traces)
+    for outcome in _run_entries(specs[0], probe_bus if probe_bus.enabled else None):
+        tally.record(outcome)
+    return tally.finish()
+
+
+def _execute_sharded(
+    specs: List[_ShardSpec],
+    name: str,
+    trials: int,
+    keep_traces: bool,
+    start_method: Optional[str],
+    shard_attempts: int,
+) -> TrialStats:
+    """Run each shard in its own worker process and tally what they send.
 
     Failure model (docs/parallelism.md): a shard whose worker dies — a
     nonzero exit code, an exception shipped back as an ``error``
@@ -534,39 +557,14 @@ def _execute_sharded(
     exception in the parent (including ``KeyboardInterrupt``) terminates
     the workers promptly instead of waiting for their shards to finish.
     """
-    if shard_attempts < 1:
-        raise ValueError(f"shard_attempts must be positive (got {shard_attempts})")
     obs = get_registry()
     recording = obs.enabled
     sink = get_sink() if recording else None
     probe_bus = get_probe_bus()
-    probing = probe_bus.enabled
 
-    sequences = spawn_seed_sequences(seed, 2 * trials)
-    shards = partition_trials(trials, workers)
     context = multiprocessing.get_context(start_method)
     results = context.Queue()
-    specs = [
-        _ShardSpec(
-            worker_id=worker_id,
-            mode=mode,
-            channel_factory=channel_factory,
-            max_rounds=max_rounds,
-            keep_traces=keep_traces,
-            recording=recording,
-            probing=probing,
-            entries=[
-                (trial, sequences[2 * trial], sequences[2 * trial + 1])
-                for trial in shard
-            ],
-            protocol=protocol,
-            p=p,
-            batch=batch,
-        )
-        for worker_id, shard in enumerate(shards)
-    ]
-
-    batch_started = time.perf_counter()
+    tally = _Tally(name, trials, keep_traces, workers=len(specs))
     specs_by_id = {spec.worker_id: spec for spec in specs}
     processes: Dict[int, object] = {}
     attempts: Dict[int, int] = {}
@@ -582,19 +580,16 @@ def _execute_sharded(
     for spec in specs:
         _spawn(spec.worker_id)
 
-    outcomes: Dict[int, Dict[str, object]] = {}
     probe_snapshots: Dict[int, Dict[str, np.ndarray]] = {}
-    pending = {spec.worker_id for spec in specs}
-    last_heartbeat = batch_started
+    pending = set(specs_by_id)
     clean_exit = False
 
     def _retry_or_fail(worker_id: int, reason: str) -> None:
         """Reap a failed shard and re-spawn it, or raise once exhausted.
 
         Only this shard is re-executed; every other shard's completed
-        trials stay in ``outcomes``. Duplicate trial payloads from the
-        dead attempt are bit-identical by the seed-sharding contract, so
-        overwriting them on retry is harmless.
+        trials stay in the tally, which ignores the bit-identical
+        duplicates a retry re-sends.
         """
         process = processes[worker_id]
         # Reap by graceful join: an errored worker is already exiting by
@@ -655,24 +650,7 @@ def _execute_sharded(
             empty_polls = 0
             kind = message[0]
             if kind == "trial":
-                payload = message[2]
-                # A retried shard re-sends trials its dead predecessor
-                # already delivered; count each trial's telemetry once.
-                first_delivery = payload["trial"] not in outcomes
-                outcomes[payload["trial"]] = payload
-                if recording and first_delivery:
-                    obs.counter("runner.trials").inc()
-                    obs.counter(
-                        "runner.solved" if payload["solved"] else "runner.failures"
-                    ).inc()
-                    obs.histogram("runner.trial_seconds").observe(payload["elapsed"])
-                    now = time.perf_counter()
-                    if now - last_heartbeat >= _HEARTBEAT_SECONDS:
-                        last_heartbeat = now
-                        _emit_progress(
-                            sink, protocol_name, outcomes, trials, len(shards),
-                            now - batch_started,
-                        )
+                tally.record(message[2])
             elif kind == "event":
                 if sink is not None:
                     sink.emit(message[2], **message[3])
@@ -699,60 +677,16 @@ def _execute_sharded(
             process.join()
         results.close()
 
-    if len(outcomes) != trials:
+    if len(tally.outcomes) != trials:
         raise RuntimeError(
-            f"parallel run lost trials: expected {trials}, got {len(outcomes)}"
+            f"parallel run lost trials: expected {trials}, got {len(tally.outcomes)}"
         )
-    if probing:
-        # Shards own contiguous ascending trial ranges, so absorbing in
-        # worker order reproduces the serial recorder's row order exactly
-        # (docs/parallelism.md) — no global sort, no reindexing.
-        for worker_id in sorted(probe_snapshots):
-            probe_bus.absorb(probe_snapshots[worker_id])
-
-    total_wall_time = time.perf_counter() - batch_started
-    rounds: List[int] = []
-    failures = 0
-    traces = [] if keep_traces else None
-    total_rounds_executed = 0
-    for trial in range(trials):
-        payload = outcomes[trial]
-        total_rounds_executed += payload["rounds_executed"]
-        if payload["solved"]:
-            rounds.append(payload["rounds_to_solve"])
-        else:
-            failures += 1
-        if keep_traces:
-            traces.append(payload["trace"])
-
-    if recording:
-        _emit_progress(
-            sink, protocol_name, outcomes, trials, len(shards), total_wall_time
-        )
-
-    return TrialStats(
-        protocol_name=protocol_name,
-        trials=trials,
-        rounds=rounds,
-        failures=failures,
-        traces=traces,
-        total_wall_time=total_wall_time,
-        total_rounds_executed=total_rounds_executed,
-    )
-
-
-def _emit_progress(sink, protocol_name, outcomes, trials, workers, elapsed) -> None:
-    solved = sum(1 for payload in outcomes.values() if payload["solved"])
-    sink.emit(
-        "trials_progress",
-        protocol=protocol_name,
-        done=len(outcomes),
-        total=trials,
-        solved=solved,
-        failures=len(outcomes) - solved,
-        elapsed_s=elapsed,
-        workers=workers,
-    )
+    # Shards own contiguous ascending trial ranges, so absorbing in worker
+    # order reproduces the serial recorder's row order exactly
+    # (docs/parallelism.md) — no global sort, no reindexing.
+    for worker_id in sorted(probe_snapshots):
+        probe_bus.absorb(probe_snapshots[worker_id])
+    return tally.finish()
 
 
 def run_trials_parallel(
@@ -778,23 +712,7 @@ def run_trials_parallel(
     with exponential backoff, without discarding other shards' completed
     trials (the failure model in docs/parallelism.md).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive (got {trials})")
-    if workers < 1:
-        raise ValueError(f"workers must be positive (got {workers})")
-    if workers == 1 or trials == 1:
-        from repro.sim.runner import run_trials
-
-        return run_trials(
-            channel_factory,
-            protocol,
-            trials,
-            seed=seed,
-            max_rounds=max_rounds,
-            keep_traces=keep_traces,
-            workers=1,
-        )
-    return _execute_sharded(
+    return _run(
         "engine",
         channel_factory,
         trials,
@@ -803,10 +721,8 @@ def run_trials_parallel(
         keep_traces,
         workers,
         start_method,
-        protocol,
-        0.0,
-        protocol.name,
-        shard_attempts=shard_attempts,
+        shard_attempts,
+        protocol=protocol,
     )
 
 
@@ -818,145 +734,38 @@ def run_fast_trials(
     max_rounds: int = 100_000,
     workers: Optional[int] = None,
     start_method: Optional[str] = None,
-    batch: Optional[int] = None,
+    batch: int = 1,
     shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
 ) -> TrialStats:
     """Repeat :func:`~repro.sim.fast.fast_fixed_probability_run` over trials.
 
     The fast-path sibling of :func:`~repro.sim.runner.run_trials`: the
     same ``(seed, trial)`` generator tree (children ``2t`` / ``2t + 1``
-    for deployment and coin flips), the same ``runner.*`` telemetry and
-    heartbeats, the same :class:`~repro.sim.runner.TrialStats` — but each
-    trial is one vectorised execution of the paper's algorithm instead of
-    a generic-engine run. Large-``n`` scaling studies (E1/E17, the
-    parallel benchmarks) live here.
+    for deployment and coin flips), the same entry loop, ``runner.*``
+    telemetry and heartbeats, the same :class:`~repro.sim.runner.TrialStats`
+    — but each trial is one vectorised execution of the paper's
+    algorithm instead of a generic-engine run. Large-``n`` scaling
+    studies (E1/E17, the parallel benchmarks) live here.
 
     ``workers > 1`` shards trials exactly like ``run_trials_parallel``;
     with a :data:`deterministic <DETERMINISTIC_ATTR>` factory the channel
     (and its gain matrix) is built once per shard and shared read-only.
-
-    ``batch > 1`` executes consecutive trials through the batched kernel
-    (:func:`repro.sim.batched.fast_fixed_probability_batch`) — inside
-    each shard when combined with ``workers``. Trials keep their own
-    generators from the same seed tree and the kernel is bit-exact per
-    trial, so like ``workers`` this is a pure performance knob:
-    ``workers=K, batch=B`` equals serial for every ``K`` and ``B``
-    (pinned by tests). Grouping applies to deterministic factories (the
-    shared-deployment reductions are what the kernel fuses); stochastic
-    factories resample the deployment per trial and run one at a time
-    regardless of ``batch`` — see docs/parallelism.md for the measured
-    trade-offs. When the probe bus is enabled, trials run the per-trial
-    path regardless of ``batch`` so probe rows keep their trial
-    attribution. ``None`` falls back to :func:`get_default_batch` (the
-    CLI's ``--batch``).
+    ``batch`` is accepted for compatibility and must be 1: trials always
+    run one at a time.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
-    if trials < 1:
-        raise ValueError(f"trials must be positive (got {trials})")
-    if workers is None:
-        workers = get_default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be positive (got {workers})")
-    if batch is None:
-        batch = get_default_batch()
-    if batch < 1:
-        raise ValueError(f"batch must be positive (got {batch})")
-    name = f"fast-simple(p={p:g})"
-    if workers > 1 and trials > 1:
-        return _execute_sharded(
-            "fast",
-            channel_factory,
-            trials,
-            seed,
-            max_rounds,
-            False,
-            workers,
-            start_method,
-            None,
-            p,
-            name,
-            batch=batch,
-            shard_attempts=shard_attempts,
-        )
-
-    obs = get_registry()
-    recording = obs.enabled
-    sink = get_sink() if recording else None
-    last_heartbeat = time.perf_counter()
-    probe_bus = get_probe_bus()
-    probing = probe_bus.enabled
-
-    shared_channel = None
-    if getattr(channel_factory, DETERMINISTIC_ATTR, False):
-        shared_channel = channel_factory(None)
-    sequences = spawn_seed_sequences(seed, 2 * trials)
-    rounds: List[int] = []
-    failures = 0
-    total_rounds_executed = 0
-    batch_started = time.perf_counter()
-
-    def record_outcome(trial: int, outcome, trial_elapsed: float) -> None:
-        nonlocal total_rounds_executed, failures, last_heartbeat
-        total_rounds_executed += outcome.rounds_executed
-        if outcome.solved:
-            rounds.append(outcome.rounds_to_solve)
-        else:
-            failures += 1
-        if recording:
-            obs.counter("runner.trials").inc()
-            obs.counter("runner.solved" if outcome.solved else "runner.failures").inc()
-            obs.histogram("runner.trial_seconds").observe(trial_elapsed)
-            now = time.perf_counter()
-            if now - last_heartbeat >= _HEARTBEAT_SECONDS or trial == trials - 1:
-                last_heartbeat = now
-                sink.emit(
-                    "trials_progress",
-                    protocol=name,
-                    done=trial + 1,
-                    total=trials,
-                    solved=len(rounds),
-                    failures=failures,
-                    elapsed_s=now - batch_started,
-                )
-
-    if batch > 1 and trials > 1 and not probing:
-        entries = [
-            (trial, sequences[2 * trial], sequences[2 * trial + 1])
-            for trial in range(trials)
-        ]
-        for group, outcomes, elapsed in _iter_fast_groups(
-            channel_factory, p, entries, max_rounds, batch, shared_channel
-        ):
-            per_trial = elapsed / len(group)
-            for (trial, _, _), outcome in zip(group, outcomes):
-                record_outcome(trial, outcome, per_trial)
-        return TrialStats(
-            protocol_name=name,
-            trials=trials,
-            rounds=rounds,
-            failures=failures,
-            traces=None,
-            total_wall_time=time.perf_counter() - batch_started,
-            total_rounds_executed=total_rounds_executed,
-        )
-
-    for trial in range(trials):
-        deploy_rng = np.random.default_rng(sequences[2 * trial])
-        run_rng = np.random.default_rng(sequences[2 * trial + 1])
-        if probing:
-            probe_bus.set_trial(trial)
-        trial_started = time.perf_counter()
-        channel = shared_channel if shared_channel is not None else channel_factory(deploy_rng)
-        outcome = fast_fixed_probability_run(channel, p, run_rng, max_rounds=max_rounds)
-        record_outcome(trial, outcome, time.perf_counter() - trial_started)
-
-    return TrialStats(
-        protocol_name=name,
-        trials=trials,
-        rounds=rounds,
-        failures=failures,
-        traces=None,
-        total_wall_time=time.perf_counter() - batch_started,
-        total_rounds_executed=total_rounds_executed,
+    if batch != 1:
+        raise ValueError(f"batch must be 1; trials run one at a time (got {batch})")
+    return _run(
+        "fast",
+        channel_factory,
+        trials,
+        seed,
+        max_rounds,
+        False,
+        workers,
+        start_method,
+        shard_attempts,
+        p=p,
     )

@@ -10,18 +10,14 @@ benchmarks share.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.obs.events import get_sink
-from repro.obs.probe import get_probe_bus
-from repro.obs.registry import get_registry
 from repro.protocols.base import ProtocolFactory
 from repro.sim.engine import Simulation
-from repro.sim.seeding import SeedLike, spawn_generators
+from repro.sim.seeding import SeedLike
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -125,11 +121,11 @@ def execute_trial(
     keep_trace: bool,
     channel: Optional[object] = None,
 ) -> ExecutionTrace:
-    """Execute exactly one trial — the unit both runners share.
+    """Execute exactly one generic-engine trial.
 
-    This is the serial runner's loop body, factored out so
-    :mod:`repro.sim.parallel` workers run *this exact code* and parity
-    between serial and sharded execution holds by construction, not by
+    The engine-mode body of the one entry loop in :mod:`repro.sim.parallel`,
+    which serial runs and shard workers both iterate, so parity between
+    serial and sharded execution holds by construction, not by
     coincidence. ``channel`` short-circuits the factory for deterministic
     deployments whose channel is safely reusable across trials (see
     :data:`~repro.sim.parallel.DETERMINISTIC_ATTR`).
@@ -170,99 +166,28 @@ def run_trials(
     worker count returns the same ``rounds`` / ``failures`` as serial
     execution. ``None`` consults the process default installed by
     :func:`repro.sim.parallel.default_workers` (the ``--workers`` CLI
-    flag); ``1`` is the plain serial loop.
+    flag); ``1`` runs the same entry loop in-process.
 
     Every trial is individually timed; the resulting
     :attr:`TrialStats.total_wall_time` and
     :attr:`TrialStats.rounds_per_second` make cost reportable alongside
     solving rounds. With telemetry enabled (see :mod:`repro.obs`) the
-    runner additionally feeds ``runner.*`` counters and emits per-trial
-    events plus a ~1 Hz progress heartbeat to the global event sink.
+    runner additionally feeds ``runner.*`` counters and emits a ~1 Hz
+    progress heartbeat plus a final one to the global event sink.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive (got {trials})")
-    if workers is None:
-        from repro.sim.parallel import get_default_workers
+    from repro.sim import parallel
 
-        workers = get_default_workers()
-    if workers > 1 and trials > 1:
-        from repro.sim.parallel import run_trials_parallel
-
-        return run_trials_parallel(
-            channel_factory,
-            protocol,
-            trials,
-            seed=seed,
-            max_rounds=max_rounds,
-            keep_traces=keep_traces,
-            workers=workers,
-        )
-    rounds: List[int] = []
-    failures = 0
-    traces: List[ExecutionTrace] = [] if keep_traces else None
-    total_rounds_executed = 0
-
-    obs = get_registry()
-    recording = obs.enabled
-    sink = get_sink() if recording else None
-    last_heartbeat = time.perf_counter()
-    probe_bus = get_probe_bus()
-    probing = probe_bus.enabled
-
-    shared_channel = None
-    if getattr(channel_factory, "deterministic", False):
-        shared_channel = channel_factory(None)
-    generators = spawn_generators(seed, 2 * trials)
-    batch_started = time.perf_counter()
-    for trial in range(trials):
-        deploy_rng = generators[2 * trial]
-        protocol_rng = generators[2 * trial + 1]
-        if probing:
-            probe_bus.set_trial(trial)
-        trial_started = time.perf_counter()
-        trace = execute_trial(
-            channel_factory,
-            protocol,
-            deploy_rng,
-            protocol_rng,
-            max_rounds,
-            keep_traces,
-            channel=shared_channel,
-        )
-        trial_elapsed = time.perf_counter() - trial_started
-        total_rounds_executed += trace.rounds_executed
-        if trace.solved:
-            rounds.append(trace.rounds_to_solve)
-        else:
-            failures += 1
-        if keep_traces:
-            traces.append(trace)
-
-        if recording:
-            obs.counter("runner.trials").inc()
-            obs.counter("runner.solved" if trace.solved else "runner.failures").inc()
-            obs.histogram("runner.trial_seconds").observe(trial_elapsed)
-            now = time.perf_counter()
-            if now - last_heartbeat >= 1.0 or trial == trials - 1:
-                last_heartbeat = now
-                sink.emit(
-                    "trials_progress",
-                    protocol=protocol.name,
-                    done=trial + 1,
-                    total=trials,
-                    solved=len(rounds),
-                    failures=failures,
-                    elapsed_s=now - batch_started,
-                )
-
-    return TrialStats(
-        protocol_name=protocol.name,
-        trials=trials,
-        rounds=rounds,
-        failures=failures,
-        traces=traces,
-        total_wall_time=time.perf_counter() - batch_started,
-        total_rounds_executed=total_rounds_executed,
+    # Dispatch through run_trials_parallel with the worker count resolved
+    # here, so the process default is visible at that seam; it runs one
+    # shard in-process and validates every argument.
+    return parallel.run_trials_parallel(
+        channel_factory,
+        protocol,
+        trials,
+        seed=seed,
+        max_rounds=max_rounds,
+        keep_traces=keep_traces,
+        workers=parallel.get_default_workers() if workers is None else workers,
     )
 
 

@@ -15,12 +15,17 @@ interference term), the strongest arriving signal clears the threshold iff
 any signal does — for every ``beta``. The channel decodes the strongest
 clearing signal (the capture effect), so resolving a round needs only the
 per-listener argmax. When ``beta >= 1`` that decode is additionally unique.
+
+:func:`decode_round` is that rule, written once: the channel's
+:meth:`SINRChannel.resolve` and the vectorised fast path
+(:mod:`repro.sim.fast`) both call it, and both publish SINR probes
+through :func:`emit_sinr_probe`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import time
 
@@ -33,7 +38,13 @@ from repro.sinr.geometry import as_positions, pairwise_distances
 from repro.sinr.jamming import ExternalSource, external_gain_matrix
 from repro.sinr.parameters import SINRParameters
 
-__all__ = ["ReceptionReport", "SINRChannel"]
+__all__ = [
+    "ReceptionReport",
+    "RoundDecode",
+    "SINRChannel",
+    "decode_round",
+    "emit_sinr_probe",
+]
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,101 @@ class ReceptionReport:
     def heard_by(self, listener: int) -> Optional[int]:
         """The transmitter decoded by ``listener``, or ``None``."""
         return self.received_from.get(listener)
+
+
+class RoundDecode(NamedTuple):
+    """Equation 1 evaluated at every listener of one round.
+
+    Column ``j`` belongs to the ``j``-th selected listener; ``best_rows[j]``
+    indexes the transmitter list, not node ids.
+    """
+
+    #: ``(|T|, |L|)`` block of arriving powers, F-contiguous.
+    rows: np.ndarray
+    #: Total arriving power per listener, external sources included.
+    totals: np.ndarray
+    #: Row of the strongest arriving signal per listener.
+    best_rows: np.ndarray
+    #: Strongest arriving signal per listener.
+    best: np.ndarray
+    #: ``totals - best``: everything the decode candidate competes with.
+    interference: np.ndarray
+    #: Whether the strongest signal clears ``beta`` (the listener decodes).
+    decoded: np.ndarray
+
+
+def decode_round(
+    gains: np.ndarray,
+    tx: np.ndarray,
+    listeners: np.ndarray,
+    external: np.ndarray,
+    params: SINRParameters,
+) -> RoundDecode:
+    """The decode kernel: who hears the strongest transmitter this round.
+
+    ``listeners`` selects columns as a boolean mask or an index array;
+    ``external`` is the arriving external power per selected listener.
+    ``gains[tx][:, listeners]`` comes back F-contiguous for both
+    selections, so ``sum(axis=0)`` runs numpy's pairwise summation down
+    each column and every caller gets the same bits. A C-ordered block
+    holds the same values but sums them in another order, which changes
+    the low bits and with them knock-outs on near ties, so the block is
+    never copied.
+
+    The SINR of a candidate is monotone in its arriving signal (its own
+    power is excluded from its interference), so the strongest signal
+    clears ``beta`` iff any signal does: checking the argmax is
+    exhaustive (the capture effect).
+    """
+    rows = gains[tx][:, listeners]
+    totals = rows.sum(axis=0) + external
+    best_rows = rows.argmax(axis=0)
+    best = rows[best_rows, np.arange(rows.shape[1])]
+    interference = totals - best
+    decoded = best >= params.beta * (params.noise + interference)
+    return RoundDecode(rows, totals, best_rows, best, interference, decoded)
+
+
+def emit_sinr_probe(
+    bus,
+    decode: RoundDecode,
+    tx: np.ndarray,
+    receivers: np.ndarray,
+    params: SINRParameters,
+) -> None:
+    """Publish one round's SINR probe (:mod:`repro.obs.probe`).
+
+    Per listener: the decode candidate's SINR, and the strongest
+    competing transmitter with its share of the interference sum (``-1``
+    and 0 when the candidate is the only transmitter). Reads only the
+    kernel's reductions and draws no randomness, so probed runs stay
+    bit-identical to unprobed ones.
+    """
+    cols = np.arange(receivers.size)
+    denom = params.noise + decode.interference
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(denom > 0.0, decode.best / denom, np.inf)
+    if tx.size > 1:
+        others = decode.rows.copy()
+        others[decode.best_rows, cols] = -np.inf
+        second_rows = others.argmax(axis=0)
+        second = others[second_rows, cols]
+        top_ids = tx[second_rows].astype(np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top_frac = np.where(
+                decode.interference > 0.0, second / decode.interference, 0.0
+            )
+    else:
+        top_ids = np.full(receivers.size, -1, dtype=np.int64)
+        top_frac = np.zeros(receivers.size)
+    bus.emit_sinr(
+        receivers=receivers.astype(np.int64),
+        sinr=sinr,
+        delivered=decode.decoded,
+        top_interferer=top_ids,
+        top_fraction=top_frac,
+        beta=params.beta,
+    )
 
 
 class SINRChannel:
@@ -236,59 +342,19 @@ class SINRChannel:
                 raise ValueError("a stochastic gain model requires an rng")
             gains = self.gain_model.round_gains(self._base_gains, rng)
 
-        rows = gains[tx][:, listen_mask]  # (|T|, |L|) power at each listener
         external = self._external_interference(listen_mask, rng)
-        totals = rows.sum(axis=0) + external
+        decode = decode_round(gains, tx, listen_mask, external, self.params)
         listener_ids = np.flatnonzero(listen_mask)
-        received: Dict[int, int] = {}
-
-        # SINR_i = s_i / (noise + tot - s_i) is monotone increasing in the
-        # arriving signal s_i, so the strongest transmitter clears the
-        # threshold iff any transmitter does — for every beta. With capture
-        # (decode the strongest signal that clears), checking the argmax is
-        # therefore exhaustive. External interference sits in the
-        # denominator alongside the other transmitters.
-        best_rows = rows.argmax(axis=0)
-        best = rows[best_rows, np.arange(rows.shape[1])]
-        interference = totals - best
-        ok = best >= self.params.beta * (self.params.noise + interference)
-
         bus = get_probe_bus()
         if bus.enabled:
-            # Flight-recorder probe: per-listener SINR of the decode
-            # candidate plus the strongest competing transmitter's share
-            # of the interference sum (repro.obs.probe). Reads only
-            # already-computed reductions; consumes no RNG draws.
-            cols = np.arange(rows.shape[1])
-            denom = self.params.noise + interference
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sinr = np.where(denom > 0.0, best / denom, np.inf)
-            if tx.size > 1:
-                others = rows.copy()
-                others[best_rows, cols] = -np.inf
-                second_rows = others.argmax(axis=0)
-                second = others[second_rows, cols]
-                top_ids = tx[second_rows].astype(np.int64)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    top_frac = np.where(
-                        interference > 0.0, second / interference, 0.0
-                    )
-            else:
-                top_ids = np.full(listener_ids.size, -1, dtype=np.int64)
-                top_frac = np.zeros(listener_ids.size)
-            bus.emit_sinr(
-                receivers=listener_ids.astype(np.int64),
-                sinr=sinr,
-                delivered=ok,
-                top_interferer=top_ids,
-                top_fraction=top_frac,
-                beta=self.params.beta,
-            )
+            emit_sinr_probe(bus, decode, tx, listener_ids, self.params)
 
-        for col in np.flatnonzero(ok):
-            received[int(listener_ids[col])] = int(tx[best_rows[col]])
+        received = {
+            int(listener_ids[col]): int(tx[decode.best_rows[col]])
+            for col in np.flatnonzero(decode.decoded)
+        }
         energy = {
-            int(listener_ids[col]): float(totals[col])
+            int(listener_ids[col]): float(decode.totals[col])
             for col in range(listener_ids.size)
         }
         return ReceptionReport(

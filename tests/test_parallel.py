@@ -161,11 +161,17 @@ class TestEngineParity:
                 workers=2,
             )
 
-    def test_workers_validation(self):
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            pytest.param(run_trials_parallel, id="run_trials_parallel"),
+            pytest.param(run_trials, id="run_trials"),
+        ],
+    )
+    def test_workers_validation(self, runner, workers):
         with pytest.raises(ValueError, match="workers"):
-            run_trials_parallel(
-                FACTORIES["stochastic"], _protocol(), trials=2, workers=0
-            )
+            runner(FACTORIES["stochastic"], _protocol(), trials=2, workers=workers)
 
 
 class TestFastParity:
@@ -211,40 +217,79 @@ class TestFastParity:
             run_fast_trials(FACTORIES["deterministic"], 1.5, trials=2)
 
 
+def _engine_trials(workers):
+    return run_trials(
+        FACTORIES["stochastic"],
+        _protocol(),
+        trials=TRIALS,
+        seed=SEED,
+        max_rounds=MAX_ROUNDS,
+        workers=workers,
+    )
+
+
+def _fast_trials(kind):
+    def runner(workers):
+        return run_fast_trials(
+            FACTORIES[kind],
+            0.1,
+            trials=TRIALS,
+            seed=SEED,
+            max_rounds=MAX_ROUNDS,
+            workers=workers,
+        )
+
+    return runner
+
+
+#: Runner inputs of the telemetry parity test, with the work counters the
+#: workers record (and the parent merges) for each.
+_FAST_COUNTERS = ("fast.rounds", "fast.executions")
+TELEMETRY_RUNNERS = {
+    "engine": (_engine_trials, ("sim.rounds", "sim.executions")),
+    "fast-deterministic": (_fast_trials("deterministic"), _FAST_COUNTERS),
+    "fast-stochastic": (_fast_trials("stochastic"), _FAST_COUNTERS),
+}
+
+
 class TestTelemetryParity:
-    def _run(self, tmp_path, label, workers):
+    def _run(self, tmp_path, label, workers, runner="engine"):
         registry = MetricsRegistry(enabled=True)
         sink = JsonlEventSink(tmp_path / f"{label}.jsonl")
         previous_registry = set_registry(registry)
         previous_sink = set_sink(sink)
         try:
-            stats = run_trials(
-                FACTORIES["stochastic"],
-                _protocol(),
-                trials=TRIALS,
-                seed=SEED,
-                max_rounds=MAX_ROUNDS,
-                workers=workers,
-            )
+            stats = TELEMETRY_RUNNERS[runner][0](workers)
         finally:
             set_registry(previous_registry)
             set_sink(previous_sink)
             sink.close()
         return stats, registry.snapshot(), read_events(tmp_path / f"{label}.jsonl")
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_counters_and_progress_events_match_serial(self, tmp_path, workers):
+    @pytest.mark.parametrize(
+        "runner, workers",
+        [
+            pytest.param("engine", 2, id="2"),
+            pytest.param("engine", 4, id="4"),
+            pytest.param("fast-deterministic", 2, id="fast-deterministic-2"),
+            pytest.param("fast-stochastic", 2, id="fast-stochastic-2"),
+        ],
+    )
+    def test_counters_and_progress_events_match_serial(
+        self, tmp_path, runner, workers
+    ):
         serial_stats, serial_metrics, serial_events = self._run(
-            tmp_path, "serial", 1
+            tmp_path, "serial", 1, runner
         )
         parallel_stats, parallel_metrics, parallel_events = self._run(
-            tmp_path, f"w{workers}", workers
+            tmp_path, f"w{workers}", workers, runner
         )
         assert parallel_stats.rounds == serial_stats.rounds
 
         # The same work must be accounted: trial counts exactly, and the
-        # engine-side counters the workers recorded merge to serial totals.
-        for name in ("runner.trials", "runner.solved", "sim.rounds", "sim.executions"):
+        # work counters the workers recorded merge to serial totals.
+        work_counters = TELEMETRY_RUNNERS[runner][1]
+        for name in ("runner.trials", "runner.solved") + work_counters:
             assert parallel_metrics[name]["value"] == serial_metrics[name]["value"], name
         assert (
             parallel_metrics["runner.trial_seconds"]["count"]
@@ -256,6 +301,7 @@ class TestTelemetryParity:
         final_parallel = [
             e for e in parallel_events if e["event"] == "trials_progress"
         ][-1]
+        assert final_serial["done"] == final_serial["total"]
         for key in ("done", "total", "solved", "failures", "protocol"):
             assert final_parallel[key] == final_serial[key], key
         assert final_parallel["workers"] == workers

@@ -162,3 +162,16 @@ class TestBudget:
         # budget(n) ~ slack * log2(n)^2
         ratio = high_probability_budget(2**16) / high_probability_budget(2**4)
         assert ratio == pytest.approx((16 / 4) ** 2, rel=0.05)
+
+
+class TestRunFastTrials:
+    def test_batch_keyword_accepts_only_one(self):
+        from repro.deploy.topologies import uniform_disk
+        from repro.sim.parallel import StaticDeploymentFactory, run_fast_trials
+        from repro.sim.seeding import generator_from
+
+        factory = StaticDeploymentFactory(uniform_disk(16, generator_from(4)))
+        stats = run_fast_trials(factory, 0.2, trials=3, seed=1, batch=1)
+        assert stats.trials == 3
+        with pytest.raises(ValueError, match="batch"):
+            run_fast_trials(factory, 0.2, trials=3, seed=1, batch=2)
