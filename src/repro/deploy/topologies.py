@@ -8,8 +8,11 @@ Conventions
   from a root :class:`numpy.random.SeedSequence`.
 * Every generator enforces a minimum pairwise separation ``min_separation``
   (default 1.0, matching the paper's normalisation of the shortest link
-  to 1) by rejection sampling. Deterministic generators (grid, line,
-  exponential chain) satisfy it by construction.
+  to 1) by rejection sampling; ``min_separation <= 0`` means no
+  separation. Deterministic generators (grid, line, exponential chain)
+  satisfy it by construction.
+* Region sizes and ``min_separation`` must be finite: a NaN or infinite
+  value raises ``ValueError`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -33,6 +36,19 @@ __all__ = [
 
 _MAX_REJECTION_ROUNDS = 10_000
 
+#: Smallest positive ``min_separation`` the sampler accepts. Below it the
+#: square of the separation is subnormal, the rounded squared distances
+#: stop bounding the per-axis gaps, and the grid's exactness proof (see
+#: :func:`_rejection_sample`) no longer holds.
+_MIN_POSITIVE_SEPARATION = 2.0**-511
+
+
+def _check_finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite (got {value})")
+
 
 def _rejection_sample(
     n: int,
@@ -42,35 +58,86 @@ def _rejection_sample(
 ) -> np.ndarray:
     """Sample ``n`` points from ``draw`` keeping pairwise separation.
 
-    ``draw(k)`` must return ``(k, 2)`` candidate points. Uses a simple
-    incremental accept/reject loop; raises if the target density is
-    infeasible (caller asked for more separated points than fit).
+    ``draw(k)`` must return ``(k, 2)`` candidate points. Candidates are
+    drawn in batches and taken in order; a candidate is rejected iff
+    ``sqrt(dx*dx + dy*dy) < min_separation`` for some accepted point.
+    Raises if the target density is infeasible (caller asked for more
+    separated points than fit). ``min_separation <= 0`` accepts every
+    candidate.
+
+    Accepted points live in a grid hash with cells of side
+    ``min_separation``, labelled ``floor(x / min_separation)`` per axis,
+    and a candidate at ``x`` is compared with the points in cells
+    ``label(x - s) .. label(x + s)`` (``s = min_separation``, all in
+    floating point). That finds every point the test can reject on:
+
+    * the rejection test implies ``|fl(dx)| < s`` per axis, because
+      ``|fl(dx)| >= s`` gives ``fl(dx*dx) >= fl(s*s)`` and
+      ``fl(sqrt(fl(s*s))) >= s`` (equal under binary round-to-nearest
+      when ``s*s`` is normal, inf when it overflows), so the distance
+      would be at least ``s``;
+    * ``|fl(dx)| < s`` implies ``x - s < x' < x + s`` exactly, and
+      rounding, division by ``s`` and ``floor`` are all monotone, so the
+      neighbour's label lies in the scanned range.
+
+    The range is ``label - 1 .. label + 1`` except within rounding of a
+    cell edge, where it may shift or widen by a cell; deriving it from
+    ``x -+ s`` makes its completeness follow from monotonicity alone,
+    with no case analysis of edges. The test is the same expression on
+    the same candidates as a scan over all accepted points, so the
+    output and the generator's state afterwards are identical to that
+    scan's.
     """
-    accepted = np.empty((n, 2), dtype=np.float64)
-    count = 0
+    if 0.0 < min_separation < _MIN_POSITIVE_SEPARATION:
+        raise ValueError(
+            f"min_separation must be 0 or at least 2**-511 (got {min_separation})"
+        )
+    separation = float(min_separation)
+    accepted = []
+    cells = {}
     for _ in range(_MAX_REJECTION_ROUNDS):
-        if count == n:
+        needed = n - len(accepted)
+        if needed == 0:
             break
-        needed = n - count
         candidates = draw(max(needed * 2, 8))
-        for point in candidates:
-            if count == n:
-                break
-            if count == 0:
-                accepted[0] = point
-                count = 1
-                continue
-            deltas = accepted[:count] - point
-            nearest = np.sqrt((deltas**2).sum(axis=1)).min()
-            if nearest >= min_separation:
-                accepted[count] = point
-                count += 1
-    if count < n:
+        if separation <= 0.0:
+            accepted.extend(candidates[:needed].tolist())
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            labels = np.floor(candidates / separation)
+            lows = np.floor((candidates - separation) / separation)
+            highs = np.floor((candidates + separation) / separation)
+        if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
+            raise ValueError(
+                "candidate coordinates must be finite and stay finite when "
+                f"divided by min_separation {separation}; shrink the region"
+            )
+        for (x, y), label, (x_lo, y_lo), (x_hi, y_hi) in zip(
+            candidates.tolist(), labels.tolist(), lows.tolist(), highs.tolist()
+        ):
+            if _separated(cells, x, y, separation, x_lo, x_hi, y_lo, y_hi):
+                accepted.append((x, y))
+                cells.setdefault((int(label[0]), int(label[1])), []).append((x, y))
+                if len(accepted) == n:
+                    break
+    if len(accepted) < n:
         raise RuntimeError(
             f"could not place {n} points with separation {min_separation}; "
             "the requested density is infeasible — enlarge the region"
         )
-    return accepted
+    return np.asarray(accepted, dtype=np.float64).reshape(n, 2)
+
+
+def _separated(cells, x, y, separation, x_lo, x_hi, y_lo, y_hi) -> bool:
+    """Whether ``(x, y)`` is at least ``separation`` from every point in range."""
+    for cx in range(int(x_lo), int(x_hi) + 1):
+        for cy in range(int(y_lo), int(y_hi) + 1):
+            for qx, qy in cells.get((cx, cy), ()):
+                dx = qx - x
+                dy = qy - y
+                if math.sqrt(dx * dx + dy * dy) < separation:
+                    return False
+    return True
 
 
 def uniform_disk(
@@ -89,6 +156,7 @@ def uniform_disk(
         raise ValueError(f"n must be positive (got {n})")
     if radius is None:
         radius = 4.0 * math.sqrt(max(n, 1)) * min_separation
+    _check_finite(min_separation=min_separation, radius=radius)
 
     def draw(k: int) -> np.ndarray:
         # Uniform in the disk via sqrt-radius polar sampling.
@@ -110,6 +178,7 @@ def uniform_square(
         raise ValueError(f"n must be positive (got {n})")
     if side is None:
         side = 6.0 * math.sqrt(max(n, 1)) * min_separation
+    _check_finite(min_separation=min_separation, side=side)
 
     def draw(k: int) -> np.ndarray:
         return side * rng.random((k, 2))
@@ -189,12 +258,18 @@ def power_law_disk(
     """
     if n < 1:
         raise ValueError(f"n must be positive (got {n})")
+    if outer_radius is None:
+        outer_radius = inner_radius * 16.0 * math.sqrt(max(n, 1))
+    _check_finite(
+        min_separation=min_separation,
+        exponent=exponent,
+        inner_radius=inner_radius,
+        outer_radius=outer_radius,
+    )
     if exponent <= 1.0:
         raise ValueError(f"exponent must exceed 1 (got {exponent})")
     if inner_radius <= 0.0:
         raise ValueError(f"inner_radius must be positive (got {inner_radius})")
-    if outer_radius is None:
-        outer_radius = inner_radius * 16.0 * math.sqrt(max(n, 1))
     if outer_radius <= inner_radius:
         raise ValueError("outer_radius must exceed inner_radius")
 
@@ -278,6 +353,11 @@ def clustered(
     total = num_clusters * nodes_per_cluster
     if field_side is None:
         field_side = 40.0 * cluster_radius * math.sqrt(num_clusters)
+    _check_finite(
+        min_separation=min_separation,
+        cluster_radius=cluster_radius,
+        field_side=field_side,
+    )
 
     centers = _rejection_sample(
         num_clusters,
@@ -315,6 +395,9 @@ def two_cluster(
     """
     if cluster_size < 1:
         raise ValueError(f"cluster_size must be positive (got {cluster_size})")
+    _check_finite(
+        min_separation=min_separation, gap=gap, cluster_radius=cluster_radius
+    )
     if gap <= 4.0 * cluster_radius:
         raise ValueError("gap must exceed four cluster radii to keep clusters distinct")
     centers = np.asarray([[0.0, 0.0], [gap, 0.0]])

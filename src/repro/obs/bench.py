@@ -81,8 +81,10 @@ def core_benchmarks(
 ) -> List[Tuple[str, BenchFn]]:
     """The named hot-path benchmarks, mirroring bench_core_microbenchmarks.
 
-    ``n`` sizes the generic-engine workloads; ``fast_n`` sizes the
-    vectorised fast-path execution (kept larger because that is the
+    ``n`` sizes the generic-engine workloads and the gain-matrix build;
+    ``fast_n`` sizes the vectorised fast-path execution and the other
+    setup layers, ``deployment_sampling`` (``uniform_disk``) and
+    ``pairwise_distances`` (kept larger because that is the
     scaling-study regime it exists for). ``parallel_trials`` sizes the
     ``parallel_trials_w{1,2,4}`` scaling benchmarks — the same large-``n``
     fast-path trial batch sharded over 1/2/4 worker processes
@@ -94,6 +96,7 @@ def core_benchmarks(
     the knobs.
     """
     from repro.analysis.linkclasses import link_class_partition
+    from repro.deploy.topologies import uniform_disk
     from repro.protocols.simple import FixedProbabilityProtocol
     from repro.sim.engine import Simulation
     from repro.sim.fast import fast_fixed_probability_run
@@ -102,7 +105,7 @@ def core_benchmarks(
     from repro.sinr.geometry import pairwise_distances
 
     positions, channel = _setup(n)
-    _, fast_channel = _setup(fast_n)
+    fast_positions, fast_channel = _setup(fast_n)
     resolve_rng = generator_from(1002)
     transmitters = sorted(
         resolve_rng.choice(n, size=max(1, n // 10), replace=False).tolist()
@@ -111,6 +114,14 @@ def core_benchmarks(
 
     def gain_matrix_construction() -> Dict[str, float]:
         SINRChannel(positions)
+        return {}
+
+    def deployment_sampling() -> Dict[str, float]:
+        uniform_disk(fast_n, generator_from(1001))
+        return {}
+
+    def pairwise_distances_cost() -> Dict[str, float]:
+        pairwise_distances(fast_positions)
         return {}
 
     def single_round_resolve() -> Dict[str, float]:
@@ -180,7 +191,6 @@ def core_benchmarks(
 
     from repro.sim.parallel import StaticDeploymentFactory, run_fast_trials
 
-    fast_positions = positions if fast_n == n else _setup(fast_n)[0]
     parallel_factory = StaticDeploymentFactory(fast_positions)
 
     def parallel_trials_bench(workers: int) -> BenchFn:
@@ -203,6 +213,8 @@ def core_benchmarks(
         return bench
 
     return [
+        ("deployment_sampling", deployment_sampling),
+        ("pairwise_distances", pairwise_distances_cost),
         ("gain_matrix_construction", gain_matrix_construction),
         ("single_round_resolve", single_round_resolve),
         ("full_execution_engine", full_execution_engine),

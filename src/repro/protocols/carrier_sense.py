@@ -47,9 +47,10 @@ def carrier_sense_threshold(channel) -> float:
 
     Half the arriving power of one transmitter at the deployment diameter:
     ``0.5 * P / diameter^alpha``. Any single in-range transmitter exceeds
-    it; silence never does.
+    it; silence never does. Reads the channel's ``diameter``, kept at
+    construction, so no distance matrix is built or scanned.
     """
-    diameter = float(channel.distances.max())
+    diameter = channel.diameter
     if diameter <= 0.0:
         return 0.5 * channel.params.power
     return 0.5 * channel.params.power / diameter**channel.params.alpha

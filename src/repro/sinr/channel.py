@@ -24,17 +24,22 @@ through :func:`emit_sinr_probe`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Sequence
-
+import math
 import time
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
 from repro.sinr.fading import DeterministicGain, GainModel
-from repro.sinr.geometry import as_positions, pairwise_distances
+from repro.sinr.geometry import (
+    as_positions,
+    pairwise_distances,
+    squared_distance_chunks,
+)
 from repro.sinr.jamming import ExternalSource, external_gain_matrix
 from repro.sinr.parameters import SINRParameters
 
@@ -219,25 +224,51 @@ class SINRChannel:
         self.n = self.positions.shape[0]
         if self.n < 1:
             raise ValueError("a channel needs at least one node")
-        self.distances = pairwise_distances(self.positions)
-        if self.n >= 2:
-            off_diagonal = self.distances[~np.eye(self.n, dtype=bool)]
-            if np.any(off_diagonal == 0.0):
-                raise ValueError("co-located nodes are not allowed (zero-length link)")
-            diameter = float(self.distances.max())
-            if auto_power and not params.satisfies_single_hop(max(diameter, 1e-300)):
-                params = params.sized_for(diameter)
+        # One pass over row chunks turns squared distances into d**alpha in
+        # the gain buffer and collects the largest squared distance (sqrt
+        # is monotone and correctly rounded, so its root is the largest
+        # distance) and the smallest off-diagonal one (zero iff two nodes
+        # share a spot). Own cells read inf: they skip the co-location
+        # check and come out of the division below as exactly 0.
+        gains = np.empty((self.n, self.n))
+        widest = 0.0
+        closest = np.inf
+        for rows, block in squared_distance_chunks(self.positions, gains):
+            widest = max(widest, float(block.max()))
+            own = np.arange(block.shape[0])
+            block[own, own + rows.start] = np.inf
+            closest = min(closest, float(block.min()))
+            np.sqrt(block, out=block)
+            block **= params.alpha
+        if closest == 0.0:
+            raise ValueError("co-located nodes are not allowed (zero-length link)")
+        #: Longest link in the deployment (0 for a single node).
+        self.diameter = math.sqrt(widest)
+        if (
+            self.n >= 2
+            and auto_power
+            and not params.satisfies_single_hop(max(self.diameter, 1e-300))
+        ):
+            params = params.sized_for(self.diameter)
         self.params = params
         self.gain_model = gain_model if gain_model is not None else DeterministicGain()
-        # G[i, j]: power arriving at j when i transmits. Self-reception is
-        # meaningless; zeroing the diagonal keeps every reduction clean.
-        with np.errstate(divide="ignore"):
-            self._base_gains = params.power / self.distances**params.alpha
-        np.fill_diagonal(self._base_gains, 0.0)
+        # G[i, j]: power arriving at j when i transmits; G[i, i] is 0.
+        self._base_gains = np.divide(params.power, gains, out=gains)
         self.external_sources = tuple(external_sources or ())
         self._external_gains = external_gain_matrix(
             self.external_sources, self.positions, params.alpha
         )
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The ``(n, n)`` distance matrix, built on first read and kept.
+
+        Rounds never need it: only probes, analysis and experiments that
+        inspect geometry read it. It shares its row helper with the gain
+        build, so ``base_gains`` equals ``power / distances**alpha``
+        (0 on the diagonal) bit for bit.
+        """
+        return pairwise_distances(self.positions)
 
     @property
     def base_gains(self) -> np.ndarray:

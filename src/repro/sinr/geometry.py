@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "pairwise_distances",
+    "squared_distance_chunks",
     "nearest_neighbor_distances",
     "NearestActiveNeighbors",
     "points_in_ball",
@@ -43,17 +44,57 @@ def as_positions(points: Iterable[Sequence[float]]) -> np.ndarray:
     return positions
 
 
+#: Distance cells per row chunk (512 KiB of float64) wherever rows of an
+#: ``(n, n)`` matrix are built or scanned: the distance and gain builds
+#: and :class:`NearestActiveNeighbors` never hold an ``(n, n)``
+#: temporary, and chunks this size stay in cache.
+_CHUNK_CELLS = 1 << 16
+
+
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Full symmetric ``(n, n)`` Euclidean distance matrix.
 
-    The diagonal is exactly zero. This is the only O(n^2)-memory object in
-    the library; channels compute it once per deployment and reuse it.
+    The diagonal is exactly zero. Rows are filled by
+    :func:`squared_distance_chunks`, the pass the SINR channel builds its
+    gains with, so distances and gains agree bit for bit. Rounds never
+    need this matrix: :attr:`repro.sinr.channel.SINRChannel.distances`
+    builds it on first read, for probes and analysis.
     """
     positions = as_positions(positions)
-    deltas = positions[:, None, :] - positions[None, :, :]
-    distances = np.sqrt(np.einsum("ijk,ijk->ij", deltas, deltas))
-    np.fill_diagonal(distances, 0.0)
+    n = positions.shape[0]
+    distances = np.empty((n, n))
+    for _, block in squared_distance_chunks(positions, distances):
+        np.sqrt(block, out=block)
     return distances
+
+
+def squared_distance_chunks(positions: np.ndarray, out: np.ndarray):
+    """Fill ``out`` with squared distances, one row chunk at a time.
+
+    Writes ``dx*dx + dy*dy`` into a chunk of about ``_CHUNK_CELLS``
+    cells of the ``(n, n)`` array ``out`` (at least one row), then
+    yields ``(rows, out[rows])`` so the caller can transform the chunk
+    in place while it is still in cache. The per-axis form is
+    bit-identical to the einsum over ``(n, n, 2)`` deltas and needs no
+    such temporary, only one chunk of scratch. A node's own cell is
+    exactly 0, because ``x - x == 0`` for finite ``x``.
+    """
+    n = positions.shape[0]
+    # Contiguous axes: broadcasting against a strided column is ~5x slower.
+    x = np.ascontiguousarray(positions[:, 0])
+    y = np.ascontiguousarray(positions[:, 1])
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    scratch = np.empty((min(step, n), n))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        block = out[rows]
+        dy = scratch[: block.shape[0]]
+        np.subtract(x[rows, None], x, out=block)
+        np.subtract(y[rows, None], y, out=dy)
+        block *= block
+        dy *= dy
+        block += dy
+        yield rows, block
 
 
 def nearest_neighbor_distances(
@@ -81,12 +122,6 @@ def nearest_neighbor_distances(
     if active is None:
         active = np.ones(distances.shape[0], dtype=bool)
     return NearestActiveNeighbors(distances).sync(active)
-
-
-#: Distance cells per row chunk when :class:`NearestActiveNeighbors` scans
-#: rows (512 KiB of float64): the scan never holds an ``(n, n)`` copy,
-#: and chunks this size stay in cache.
-_CHUNK_CELLS = 1 << 16
 
 
 def _row_minima(distances: np.ndarray, rows: np.ndarray, columns: np.ndarray):

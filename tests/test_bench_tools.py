@@ -29,6 +29,8 @@ class TestHarness:
         )
         names = set(results)
         assert names == {
+            "deployment_sampling",
+            "pairwise_distances",
             "gain_matrix_construction",
             "single_round_resolve",
             "full_execution_engine",

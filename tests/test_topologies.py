@@ -254,3 +254,74 @@ class TestTwoCluster:
     def test_cluster_size_validation(self, rng):
         with pytest.raises(ValueError, match="cluster_size"):
             two_cluster(0, rng)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+#: Each sampler-backed generator with one of its region arguments.
+REGION_ARGUMENTS = [
+    (uniform_disk, (50,), "radius"),
+    (uniform_square, (50,), "side"),
+    (power_law_disk, (50,), "exponent"),
+    (power_law_disk, (50,), "inner_radius"),
+    (power_law_disk, (50,), "outer_radius"),
+    (clustered, (3, 10), "cluster_radius"),
+    (clustered, (3, 10), "field_side"),
+    (two_cluster, (10,), "gap"),
+    (two_cluster, (10,), "cluster_radius"),
+]
+
+SAMPLERS = [
+    (uniform_disk, (50,)),
+    (uniform_square, (50,)),
+    (power_law_disk, (50,)),
+    (clustered, (3, 10)),
+    (two_cluster, (10,)),
+]
+
+#: Region sizes that do not scale with ``min_separation``, so runs that
+#: differ only in the separation draw from the same region.
+FIXED_REGIONS = {
+    uniform_disk: {"radius": 30.0},
+    uniform_square: {"side": 50.0},
+    power_law_disk: {"outer_radius": 200.0},
+    clustered: {},
+    two_cluster: {},
+}
+
+
+class TestNonFiniteArguments:
+    """NaN or infinite sizes fail fast instead of exhausting the sampler."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("generator, args", SAMPLERS)
+    def test_min_separation(self, rng, generator, args, value):
+        with pytest.raises(ValueError, match="min_separation must be finite"):
+            generator(*args, rng, min_separation=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("generator, args, name", REGION_ARGUMENTS)
+    def test_region_size(self, rng, generator, args, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            generator(*args, rng, **{name: value})
+
+    @pytest.mark.parametrize("min_separation", [-1.0, -1e-300])
+    @pytest.mark.parametrize("generator, args", SAMPLERS)
+    def test_negative_separation_means_none(self, generator, args, min_separation):
+        # Like 0 (checked against the scan in test_setup_parity): no
+        # separation, same points, same generator state afterwards.
+        region = FIXED_REGIONS[generator]
+        plain = np.random.default_rng(5)
+        loose = np.random.default_rng(5)
+        zero = generator(*args, plain, min_separation=0.0, **region)
+        other = generator(*args, loose, min_separation=min_separation, **region)
+        assert np.array_equal(zero, other)
+        assert plain.random() == loose.random()
+
+    def test_separation_below_normal_square_rejected(self, rng):
+        with pytest.raises(ValueError, match="min_separation"):
+            uniform_disk(5, rng, radius=1.0, min_separation=1e-160)
+
+    def test_overflowing_cell_labels_rejected(self, rng):
+        with pytest.raises(ValueError, match="shrink the region"):
+            uniform_square(5, rng, side=1e300, min_separation=1e-100)
