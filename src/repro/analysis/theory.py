@@ -21,6 +21,8 @@ from typing import Dict
 
 import numpy as np
 
+from repro.protocols.decay import decay_sweep_length
+
 __all__ = [
     "aloha_round_success_probability",
     "aloha_expected_rounds",
@@ -71,13 +73,6 @@ def adaptive_hitting_floor(k: int) -> int:
     if k < 2:
         raise ValueError(f"the game needs k >= 2 (got {k})")
     return max(1, math.ceil(math.log2(k)))
-
-
-def decay_sweep_length(size_bound: int) -> int:
-    """Length of one decay probability sweep for bound ``N``."""
-    if size_bound < 1:
-        raise ValueError(f"size_bound must be positive (got {size_bound})")
-    return max(1, math.ceil(math.log2(max(size_bound, 2))))
 
 
 def decay_sweep_success_lower_bound(n: int, size_bound: int = None) -> float:

@@ -2,10 +2,12 @@
 
 Every protocol is a per-node state machine behind the small interface in
 :mod:`repro.protocols.base` (``decide`` each round, ``on_feedback`` after the
-channel resolves). The simulation engine is channel-agnostic, so the same
-protocol classes run on the SINR channel, the Rayleigh-fading channel and
-the classical collision channel — which is what keeps the paper's headline
-comparison (experiment E3) honest.
+channel resolves). All but BEB and the interleaving combiner are a
+:class:`ScheduleProtocol`: a broadcast schedule ``p(round)`` plus a concede
+rule, run by the shared :class:`ScheduleNode`. The simulation engine is
+channel-agnostic, so the same protocol classes run on the SINR channel, the
+Rayleigh-fading channel and the classical collision channel — which is what
+keeps the paper's headline comparison (experiment E3) honest.
 
 Protocols
 ---------
@@ -48,7 +50,13 @@ Protocols
 
 from repro.protocols.aloha import SlottedAlohaProtocol
 from repro.protocols.backoff import BinaryExponentialBackoffProtocol
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import (
+    Action,
+    Feedback,
+    NodeProtocol,
+    ProtocolFactory,
+    ScheduleProtocol,
+)
 from repro.protocols.carrier_sense import (
     CarrierSenseTournamentProtocol,
     carrier_sense_threshold,
@@ -78,6 +86,7 @@ __all__ = [
     "NodeProtocol",
     "ProtocolFactory",
     "SawtoothBackoffProtocol",
+    "ScheduleProtocol",
     "SlottedAlohaProtocol",
     "carrier_sense_threshold",
     "expected_transmitters",

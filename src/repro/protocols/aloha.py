@@ -11,36 +11,18 @@ experiment E3.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
 
-import numpy as np
+from repro.protocols.base import Schedule, ScheduleProtocol, constant
 
-from repro.protocols.base import Action, NodeProtocol, ProtocolFactory
-
-__all__ = ["SlottedAlohaNode", "SlottedAlohaProtocol"]
+__all__ = ["SlottedAlohaProtocol"]
 
 
-class SlottedAlohaNode(NodeProtocol):
-    """One node broadcasting with the genie probability ``1/n``."""
-
-    def __init__(self, node_id: int, p: float) -> None:
-        super().__init__(node_id)
-        self.p = p
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.p:
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-
-class SlottedAlohaProtocol(ProtocolFactory):
-    """Factory for the genie-aided slotted ALOHA baseline."""
+class SlottedAlohaProtocol(ScheduleProtocol):
+    """Factory for the genie-aided slotted ALOHA baseline (never concedes)."""
 
     knows_network_size = True
-    requires_collision_detection = False
     name = "aloha(1/n)"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [SlottedAlohaNode(i, 1.0 / n) for i in range(n)]
+    def schedule(self, n: int) -> Schedule:
+        return partial(constant, 1.0 / n)

@@ -18,6 +18,12 @@ Nodes begin *active* and may deactivate themselves (the paper's algorithm
 deactivates on first reception). Inactive nodes are never asked to decide
 and never transmit; the engine treats the first round with exactly one
 transmitter as solving the problem, matching Section 2's definition.
+
+Most protocols here need no state machine of their own: they are an
+oblivious broadcast schedule ``p(round)`` plus a rule for when a listener
+drops out. :class:`ScheduleProtocol` declares exactly those two things —
+``schedule(n)`` and a ``concede`` rule from the closed set
+:data:`CONCEDE_RULES` — and builds one :class:`ScheduleNode` per node.
 """
 
 from __future__ import annotations
@@ -25,13 +31,30 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.radio.channel import ChannelObservation
 
-__all__ = ["Action", "Feedback", "NodeProtocol", "ProtocolFactory"]
+__all__ = [
+    "Action",
+    "CONCEDE_RULES",
+    "Feedback",
+    "NodeProtocol",
+    "ProtocolFactory",
+    "Schedule",
+    "ScheduleNode",
+    "ScheduleProtocol",
+    "constant",
+    "never",
+    "on_collision",
+    "on_reception",
+    "on_signal",
+]
+
+#: A per-round broadcast probability: local round index -> ``p``.
+Schedule = Callable[[int], float]
 
 
 class Action(Enum):
@@ -79,9 +102,9 @@ class NodeProtocol(ABC):
     feedback is delivered to every node that was active at the start of the
     round.
 
-    The class attributes ``requires_collision_detection`` and
-    ``requires_energy_sensing`` mirror the factory flags; the engine
-    consults them to refuse protocol/channel mismatches.
+    The attributes ``requires_collision_detection`` and
+    ``requires_energy_sensing`` mirror the factory flags; the engine reads
+    them from each node instance to refuse protocol/channel mismatches.
     """
 
     requires_collision_detection: bool = False
@@ -136,3 +159,89 @@ class ProtocolFactory(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def constant(p: float, round_index: int) -> float:
+    """The schedule that broadcasts with probability ``p`` in every round."""
+    return p
+
+
+def never(feedback: Feedback, threshold: Optional[float]) -> bool:
+    """Listeners never drop out (ALOHA, classical decay)."""
+    return False
+
+
+def on_reception(feedback: Feedback, threshold: Optional[float]) -> bool:
+    """Drop out on decoding a message — the paper's knockout rule."""
+    return feedback.received is not None
+
+
+def on_collision(feedback: Feedback, threshold: Optional[float]) -> bool:
+    """Drop out on a detected collision (needs collision detection)."""
+    return feedback.observation is ChannelObservation.COLLISION
+
+
+def on_signal(feedback: Feedback, threshold: Optional[float]) -> bool:
+    """Drop out on a decoded message or sensed energy ``>= threshold``."""
+    return feedback.received is not None or (
+        feedback.energy is not None and feedback.energy >= threshold
+    )
+
+
+#: The closed set of concede rules a :class:`ScheduleProtocol` may declare:
+#: when a *listener* drops out, given its feedback and the node's energy
+#: threshold. Transmitters never concede — they learn nothing of the round.
+CONCEDE_RULES = (never, on_reception, on_collision, on_signal)
+
+
+class ScheduleNode(NodeProtocol):
+    """One node of a :class:`ScheduleProtocol`.
+
+    Each round it makes one draw, ``rng.random() < probability(round)``;
+    as a listener it drops out when ``concede(feedback, threshold)`` holds.
+    The rule, threshold and capability flags are copied from the factory.
+    """
+
+    def __init__(
+        self, node_id: int, probability: Schedule, protocol: ScheduleProtocol
+    ) -> None:
+        super().__init__(node_id)
+        self.probability = probability
+        self.concede = protocol.concede
+        self.threshold = protocol.threshold
+        self.requires_collision_detection = protocol.requires_collision_detection
+        self.requires_energy_sensing = protocol.requires_energy_sensing
+
+    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
+        if rng.random() < self.probability(round_index):
+            return Action.TRANSMIT
+        return Action.LISTEN
+
+    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
+        if not feedback.transmitted and self.concede(feedback, self.threshold):
+            self._active = False
+
+
+class ScheduleProtocol(ProtocolFactory):
+    """A protocol given by a broadcast schedule and a concede rule.
+
+    Subclasses implement :meth:`schedule` and set ``concede`` to one of
+    :data:`CONCEDE_RULES` — wrapped in ``staticmethod`` when it is a class
+    attribute, plain when set on the instance. ``threshold`` is the energy
+    sensitivity :func:`on_signal` compares against. :meth:`build` is shared.
+    """
+
+    concede = staticmethod(never)
+    threshold: Optional[float] = None
+
+    @abstractmethod
+    def schedule(self, n: int) -> Schedule:
+        """Per-round broadcast probability for ``n`` participating nodes."""
+
+    def build(self, n: int) -> List[NodeProtocol]:
+        if n < 1:
+            raise ValueError(f"n must be positive (got {n})")
+        if self.concede not in CONCEDE_RULES:
+            raise ValueError(f"concede rule {self.concede!r} is not in CONCEDE_RULES")
+        probability = self.schedule(n)
+        return [ScheduleNode(i, probability, self) for i in range(n)]

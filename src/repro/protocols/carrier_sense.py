@@ -29,17 +29,11 @@ ambient noise never trips it.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
 
-import numpy as np
+from repro.protocols.base import Schedule, ScheduleProtocol, constant, on_signal
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-
-__all__ = [
-    "carrier_sense_threshold",
-    "CarrierSenseNode",
-    "CarrierSenseTournamentProtocol",
-]
+__all__ = ["carrier_sense_threshold", "CarrierSenseTournamentProtocol"]
 
 
 def carrier_sense_threshold(channel) -> float:
@@ -56,32 +50,7 @@ def carrier_sense_threshold(channel) -> float:
     return 0.5 * channel.params.power / diameter**channel.params.alpha
 
 
-class CarrierSenseNode(NodeProtocol):
-    """One contender of the carrier-sense tournament."""
-
-    requires_energy_sensing = True
-
-    def __init__(self, node_id: int, p: float, threshold: float) -> None:
-        super().__init__(node_id)
-        self.p = p
-        self.threshold = threshold
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.p:
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if feedback.transmitted:
-            return  # transmitters learn nothing and stay in
-        heard_something = feedback.received is not None or (
-            feedback.energy is not None and feedback.energy >= self.threshold
-        )
-        if heard_something:
-            self._active = False
-
-
-class CarrierSenseTournamentProtocol(ProtocolFactory):
+class CarrierSenseTournamentProtocol(ScheduleProtocol):
     """Factory for the carrier-sense tournament.
 
     Parameters
@@ -95,9 +64,10 @@ class CarrierSenseTournamentProtocol(ProtocolFactory):
         Per-round transmission probability (default 1/2).
     """
 
-    knows_network_size = False
-    requires_collision_detection = False
     requires_energy_sensing = True
+    # A listener that hears anything — a decoded message or energy at or
+    # above the threshold — concedes; transmitters stay in.
+    concede = staticmethod(on_signal)
 
     def __init__(self, threshold: float, p: float = 0.5) -> None:
         if threshold <= 0.0:
@@ -108,7 +78,5 @@ class CarrierSenseTournamentProtocol(ProtocolFactory):
         self.p = p
         self.name = f"carrier-sense(p={p:g})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [CarrierSenseNode(i, self.p, self.threshold) for i in range(n)]
+    def schedule(self, n: int) -> Schedule:
+        return partial(constant, self.p)

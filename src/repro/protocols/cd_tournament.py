@@ -23,38 +23,14 @@ channel that cannot deliver the ternary observation.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
 
-import numpy as np
+from repro.protocols.base import Schedule, ScheduleProtocol, constant, on_collision
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-from repro.radio.channel import ChannelObservation
-
-__all__ = ["CollisionDetectionTournamentNode", "CollisionDetectionTournamentProtocol"]
+__all__ = ["CollisionDetectionTournamentProtocol"]
 
 
-class CollisionDetectionTournamentNode(NodeProtocol):
-    """One contender in the halving tournament."""
-
-    requires_collision_detection = True
-
-    def __init__(self, node_id: int, p: float) -> None:
-        super().__init__(node_id)
-        self.p = p
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.p:
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if feedback.transmitted:
-            return  # transmitters learn nothing and stay in
-        if feedback.observation is ChannelObservation.COLLISION:
-            self._active = False
-
-
-class CollisionDetectionTournamentProtocol(ProtocolFactory):
+class CollisionDetectionTournamentProtocol(ScheduleProtocol):
     """Factory for the collision-detection tournament.
 
     Parameters
@@ -64,8 +40,10 @@ class CollisionDetectionTournamentProtocol(ProtocolFactory):
         the textbook choice).
     """
 
-    knows_network_size = False
     requires_collision_detection = True
+    # Transmitters learn nothing and stay in; silence or a message keeps a
+    # listener in too.
+    concede = staticmethod(on_collision)
 
     def __init__(self, p: float = 0.5) -> None:
         if not 0.0 < p < 1.0:
@@ -73,7 +51,5 @@ class CollisionDetectionTournamentProtocol(ProtocolFactory):
         self.p = p
         self.name = f"cd-tournament(p={p:g})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [CollisionDetectionTournamentNode(i, self.p) for i in range(n)]
+    def schedule(self, n: int) -> Schedule:
+        return partial(constant, self.p)

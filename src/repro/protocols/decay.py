@@ -18,39 +18,27 @@ knockout protocol on the SINR channel for cross-model comparisons.
 from __future__ import annotations
 
 import math
-from typing import List
+from functools import partial
 
-import numpy as np
+from repro.protocols.base import Schedule, ScheduleProtocol, never, on_reception
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-
-__all__ = ["DecayNode", "DecayProtocol"]
+__all__ = ["DecayProtocol", "decay_probability", "decay_sweep_length"]
 
 
-class DecayNode(NodeProtocol):
-    """One node following the decay probability schedule."""
-
-    def __init__(self, node_id: int, sweep_length: int, deactivate_on_receive: bool) -> None:
-        super().__init__(node_id)
-        self.sweep_length = sweep_length
-        self.deactivate_on_receive = deactivate_on_receive
-
-    def broadcast_probability(self, round_index: int) -> float:
-        """Probability used in the given (0-indexed) round."""
-        step = round_index % self.sweep_length
-        return 2.0 ** -(step + 1)
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.broadcast_probability(round_index):
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.deactivate_on_receive and feedback.received is not None:
-            self._active = False
+def decay_sweep_length(size_bound: int) -> int:
+    """Length of one decay probability sweep for bound ``N``."""
+    if size_bound < 1:
+        raise ValueError(f"size_bound must be positive (got {size_bound})")
+    return max(1, math.ceil(math.log2(max(size_bound, 2))))
 
 
-class DecayProtocol(ProtocolFactory):
+def decay_probability(sweep_length: int, round_index: int) -> float:
+    """Probability used in the given (0-indexed) round: ``2^-(step + 1)``."""
+    step = round_index % sweep_length
+    return 2.0 ** -(step + 1)
+
+
+class DecayProtocol(ScheduleProtocol):
     """Factory for decay.
 
     Parameters
@@ -64,23 +52,17 @@ class DecayProtocol(ProtocolFactory):
     """
 
     knows_network_size = True
-    requires_collision_detection = False
 
     def __init__(self, size_bound: int = None, deactivate_on_receive: bool = False) -> None:
         if size_bound is not None and size_bound < 1:
             raise ValueError(f"size_bound must be positive (got {size_bound})")
         self.size_bound = size_bound
-        self.deactivate_on_receive = deactivate_on_receive
+        self.concede = on_reception if deactivate_on_receive else never
         suffix = "" if size_bound is None else f"(N={size_bound})"
         self.name = f"decay{suffix}"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
+    def schedule(self, n: int) -> Schedule:
         bound = self.size_bound if self.size_bound is not None else n
         if bound < n:
             raise ValueError(f"size_bound {bound} is below the actual network size {n}")
-        sweep_length = max(1, math.ceil(math.log2(max(bound, 2))))
-        return [
-            DecayNode(i, sweep_length, self.deactivate_on_receive) for i in range(n)
-        ]
+        return partial(decay_probability, decay_sweep_length(bound))

@@ -33,6 +33,10 @@ class InterleavedNode(NodeProtocol):
         super().__init__(node_id)
         self.even_node = even_node
         self.odd_node = odd_node
+        # The engine checks capabilities per node: declare what either lane
+        # needs, or that lane's feedback could silently go missing.
+        for flag in ("requires_collision_detection", "requires_energy_sensing"):
+            setattr(self, flag, getattr(even_node, flag) or getattr(odd_node, flag))
 
     def _lane(self, round_index: int) -> tuple:
         """Return ``(sub_node, sub_round)`` for the global round."""
@@ -84,6 +88,10 @@ class InterleavedProtocol(ProtocolFactory):
         return self.even.knows_network_size or self.odd.knows_network_size
 
     requires_collision_detection = False
+
+    @property
+    def requires_energy_sensing(self) -> bool:  # type: ignore[override]
+        return self.even.requires_energy_sensing or self.odd.requires_energy_sensing
 
     def build(self, n: int) -> List[NodeProtocol]:
         if n < 1:

@@ -30,13 +30,11 @@ of some sweep step; ``Theta(log N / log log N)`` sweeps give the
 from __future__ import annotations
 
 import math
-from typing import List
+from functools import partial
 
-import numpy as np
+from repro.protocols.base import Schedule, ScheduleProtocol, on_reception
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-
-__all__ = ["JurdzinskiStachowiakNode", "JurdzinskiStachowiakProtocol"]
+__all__ = ["JurdzinskiStachowiakProtocol", "js16_probability"]
 
 
 def _schedule_parameters(size_bound: int) -> tuple:
@@ -54,41 +52,17 @@ def _schedule_parameters(size_bound: int) -> tuple:
     return num_steps, dwell, base
 
 
-class JurdzinskiStachowiakNode(NodeProtocol):
-    """One node of the compressed-sweep schedule."""
+def js16_probability(num_steps: int, dwell: int, base: float, round_index: int) -> float:
+    """Probability used in the given (0-indexed) round.
 
-    def __init__(
-        self,
-        node_id: int,
-        num_steps: int,
-        dwell: int,
-        base: float,
-    ) -> None:
-        super().__init__(node_id)
-        self.num_steps = num_steps
-        self.dwell = dwell
-        self.base = base
-        self._sweep_length = num_steps * dwell
-
-    def broadcast_probability(self, round_index: int) -> float:
-        """Probability used in the given (0-indexed) round."""
-        position = round_index % self._sweep_length
-        step = position // self.dwell
-        return self.base ** -(step + 1)
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.broadcast_probability(round_index):
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        # Knockout on reception: the dampening phase relies on the fading
-        # channel thinning contention between coarse probability steps.
-        if feedback.received is not None:
-            self._active = False
+    The sweep visits ``base^-1 .. base^-num_steps``, ``dwell`` rounds each.
+    """
+    position = round_index % (num_steps * dwell)
+    step = position // dwell
+    return base ** -(step + 1)
 
 
-class JurdzinskiStachowiakProtocol(ProtocolFactory):
+class JurdzinskiStachowiakProtocol(ScheduleProtocol):
     """Factory for the JS16-style protocol.
 
     Parameters
@@ -99,7 +73,9 @@ class JurdzinskiStachowiakProtocol(ProtocolFactory):
     """
 
     knows_network_size = True
-    requires_collision_detection = False
+    # Knockout on reception: the dampening phase relies on the fading
+    # channel thinning contention between coarse probability steps.
+    concede = staticmethod(on_reception)
 
     def __init__(self, size_bound: int = None) -> None:
         if size_bound is not None and size_bound < 1:
@@ -108,13 +84,8 @@ class JurdzinskiStachowiakProtocol(ProtocolFactory):
         suffix = "" if size_bound is None else f"(N={size_bound})"
         self.name = f"js16{suffix}"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
+    def schedule(self, n: int) -> Schedule:
         bound = self.size_bound if self.size_bound is not None else n
         if bound < n:
             raise ValueError(f"size_bound {bound} is below the actual network size {n}")
-        num_steps, dwell, base = _schedule_parameters(bound)
-        return [
-            JurdzinskiStachowiakNode(i, num_steps, dwell, base) for i in range(n)
-        ]
+        return partial(js16_probability, *_schedule_parameters(bound))

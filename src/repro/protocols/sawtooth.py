@@ -28,13 +28,11 @@ the canonical endpoint.)
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
 
-import numpy as np
+from repro.protocols.base import Schedule, ScheduleProtocol, never, on_reception
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-
-__all__ = ["SawtoothBackoffNode", "SawtoothBackoffProtocol"]
+__all__ = ["SawtoothBackoffProtocol", "sawtooth_probability"]
 
 
 def _window_of_round(round_index: int, max_exponent: int) -> int:
@@ -52,29 +50,12 @@ def _window_of_round(round_index: int, max_exponent: int) -> int:
     raise AssertionError("unreachable: position exceeded cycle length")
 
 
-class SawtoothBackoffNode(NodeProtocol):
-    """One node of the sawtooth schedule."""
-
-    def __init__(self, node_id: int, max_exponent: int, deactivate_on_receive: bool) -> None:
-        super().__init__(node_id)
-        self.max_exponent = max_exponent
-        self.deactivate_on_receive = deactivate_on_receive
-
-    def broadcast_probability(self, round_index: int) -> float:
-        """``1/w`` for the window ``w`` in force at this round."""
-        return 1.0 / _window_of_round(round_index, self.max_exponent)
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.broadcast_probability(round_index):
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if self.deactivate_on_receive and feedback.received is not None:
-            self._active = False
+def sawtooth_probability(max_exponent: int, round_index: int) -> float:
+    """``1/w`` for the window ``w`` in force at this round."""
+    return 1.0 / _window_of_round(round_index, max_exponent)
 
 
-class SawtoothBackoffProtocol(ProtocolFactory):
+class SawtoothBackoffProtocol(ScheduleProtocol):
     """Factory for sawtooth backoff.
 
     Parameters
@@ -88,20 +69,13 @@ class SawtoothBackoffProtocol(ProtocolFactory):
         Run as a knockout protocol on the SINR channel.
     """
 
-    knows_network_size = False
-    requires_collision_detection = False
 
     def __init__(self, max_exponent: int = 20, deactivate_on_receive: bool = False) -> None:
         if max_exponent < 1:
             raise ValueError(f"max_exponent must be >= 1 (got {max_exponent})")
         self.max_exponent = max_exponent
-        self.deactivate_on_receive = deactivate_on_receive
+        self.concede = on_reception if deactivate_on_receive else never
         self.name = f"sawtooth(2^{max_exponent})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [
-            SawtoothBackoffNode(i, self.max_exponent, self.deactivate_on_receive)
-            for i in range(n)
-        ]
+    def schedule(self, n: int) -> Schedule:
+        return partial(sawtooth_probability, self.max_exponent)

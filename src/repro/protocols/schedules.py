@@ -15,10 +15,11 @@ aggregate quantities the experiments use to *explain* results:
     Exact probability that exactly one of ``n`` i.i.d. nodes transmits at
     probability ``p`` — the classical ``n p (1-p)^{n-1}``.
 
-A protocol qualifies if its node objects expose
-``broadcast_probability(round_index)`` (decay, JS16) or a constant ``p``
-(the paper's algorithm, ALOHA, the tournaments). State-dependent protocols
-(BEB) do not have an oblivious schedule and are rejected.
+A protocol qualifies if it is a
+:class:`~repro.protocols.base.ScheduleProtocol` — the paper's algorithm,
+ALOHA, decay, JS16, sawtooth and the two tournaments — whose
+``schedule(n)`` these helpers read directly. Stateful protocols (BEB) and
+combiners (interleaving) have no oblivious schedule and are rejected.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.protocols.base import NodeProtocol, ProtocolFactory
+from repro.protocols.base import ProtocolFactory, Schedule, ScheduleProtocol
 
 __all__ = [
     "probability_schedule",
@@ -37,25 +38,17 @@ __all__ = [
 ]
 
 
-def _node_probability(node: NodeProtocol, round_index: int) -> float:
-    if hasattr(node, "broadcast_probability"):
-        return float(node.broadcast_probability(round_index))
-    if hasattr(node, "p"):
-        return float(node.p)
-    raise TypeError(
-        f"{type(node).__name__} has no oblivious broadcast schedule "
-        "(no broadcast_probability method and no constant p)"
-    )
+def _schedule(factory: ProtocolFactory, n: int) -> Schedule:
+    if not isinstance(factory, ScheduleProtocol):
+        raise TypeError(f"{type(factory).__name__} has no oblivious broadcast schedule")
+    if n < 1:
+        raise ValueError(f"n must be positive (got {n})")
+    return factory.schedule(n)
 
 
-def has_oblivious_schedule(factory: ProtocolFactory, n: int = 2) -> bool:
-    """Whether the factory's nodes expose a round-indexed probability."""
-    node = factory.build(n)[0]
-    try:
-        _node_probability(node, 0)
-    except TypeError:
-        return False
-    return True
+def has_oblivious_schedule(factory: ProtocolFactory) -> bool:
+    """Whether the factory declares a round-indexed probability schedule."""
+    return isinstance(factory, ScheduleProtocol)
 
 
 def probability_schedule(
@@ -63,15 +56,13 @@ def probability_schedule(
 ) -> np.ndarray:
     """One node's broadcast probability for rounds ``0 .. horizon - 1``.
 
-    ``n`` is passed to ``build`` because some schedules depend on the
+    ``n`` is passed to ``schedule`` because some schedules depend on the
     network size the factory is told about (decay's sweep length).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be positive (got {horizon})")
-    node = factory.build(n)[0]
-    return np.asarray(
-        [_node_probability(node, r) for r in range(horizon)], dtype=np.float64
-    )
+    probability = _schedule(factory, n)
+    return np.asarray([probability(r) for r in range(horizon)], dtype=np.float64)
 
 
 def expected_transmitters(
@@ -95,11 +86,11 @@ def expected_transmitters(
     n = len(activations)
     if n < 1:
         raise ValueError("need at least one node")
-    nodes = factory.build(n)
+    probability = _schedule(factory, n)
     expected = np.zeros(horizon, dtype=np.float64)
-    for node, activation in zip(nodes, activations):
+    for activation in activations:
         for t in range(activation, horizon):
-            expected[t] += _node_probability(node, t - activation)
+            expected[t] += probability(t - activation)
     return expected
 
 

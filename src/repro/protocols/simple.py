@@ -21,37 +21,16 @@ deployments in the test suite.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
 
-import numpy as np
+from repro.protocols.base import Schedule, ScheduleProtocol, constant, on_reception
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
-
-__all__ = ["FixedProbabilityNode", "FixedProbabilityProtocol"]
+__all__ = ["FixedProbabilityProtocol"]
 
 DEFAULT_BROADCAST_PROBABILITY = 0.1
 
 
-class FixedProbabilityNode(NodeProtocol):
-    """One node of the paper's algorithm."""
-
-    def __init__(self, node_id: int, p: float) -> None:
-        super().__init__(node_id)
-        self.p = p
-
-    def decide(self, round_index: int, rng: np.random.Generator) -> Action:
-        if rng.random() < self.p:
-            return Action.TRANSMIT
-        return Action.LISTEN
-
-    def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        # The knockout rule: an active node that receives a message becomes
-        # inactive. Transmitters never receive, so they stay active.
-        if feedback.received is not None:
-            self._active = False
-
-
-class FixedProbabilityProtocol(ProtocolFactory):
+class FixedProbabilityProtocol(ScheduleProtocol):
     """Factory for the paper's algorithm.
 
     Parameters
@@ -60,8 +39,9 @@ class FixedProbabilityProtocol(ProtocolFactory):
         The constant broadcast probability, in ``(0, 1]``.
     """
 
-    knows_network_size = False
-    requires_collision_detection = False
+    # The knockout rule: an active node that receives a message becomes
+    # inactive. Transmitters never receive, so they stay active.
+    concede = staticmethod(on_reception)
 
     def __init__(self, p: float = DEFAULT_BROADCAST_PROBABILITY) -> None:
         if not 0.0 < p <= 1.0:
@@ -69,7 +49,5 @@ class FixedProbabilityProtocol(ProtocolFactory):
         self.p = p
         self.name = f"simple(p={p:g})"
 
-    def build(self, n: int) -> List[NodeProtocol]:
-        if n < 1:
-            raise ValueError(f"n must be positive (got {n})")
-        return [FixedProbabilityNode(i, self.p) for i in range(n)]
+    def schedule(self, n: int) -> Schedule:
+        return partial(constant, self.p)

@@ -120,7 +120,7 @@ class Simulation:
     def _check_capabilities(channel, nodes: List[NodeProtocol]) -> None:
         """Refuse protocol/channel pairings whose assumptions do not hold."""
         needs_cd = any(
-            getattr(type(node), "requires_collision_detection", False) for node in nodes
+            getattr(node, "requires_collision_detection", False) for node in nodes
         )
         if needs_cd:
             if not (isinstance(channel, RadioChannel) and channel.collision_detection):
@@ -128,7 +128,7 @@ class Simulation:
                     "protocol requires a collision-detection radio channel"
                 )
         needs_energy = any(
-            getattr(type(node), "requires_energy_sensing", False) for node in nodes
+            getattr(node, "requires_energy_sensing", False) for node in nodes
         )
         if needs_energy and not getattr(channel, "provides_energy", False):
             raise ValueError(
@@ -187,7 +187,8 @@ class Simulation:
                 )
                 is Action.TRANSMIT
             ]
-            listeners = [int(i) for i in active_ids if i not in set(transmitters)]
+            transmitter_set = set(transmitters)
+            listeners = [int(i) for i in active_ids if i not in transmitter_set]
             if probing:
                 bus.begin_round(round_index)
                 mask_before = active & awake
@@ -196,7 +197,7 @@ class Simulation:
             )
 
             knocked_out = self._deliver_feedback(
-                round_index, active_ids, set(transmitters), report
+                round_index, active_ids, transmitter_set, report
             )
             for node_id in knocked_out:
                 active[node_id] = False

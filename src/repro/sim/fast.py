@@ -10,10 +10,11 @@ and a constant probability, so a whole execution collapses into numpy:
   (:func:`repro.sinr.channel.decode_round`);
 * knockout: a boolean mask update.
 
-``fast_fixed_probability_run`` is behaviourally equivalent to running
+``fast_fixed_probability_run`` is equivalent to running
 ``FixedProbabilityProtocol`` through :class:`repro.sim.engine.Simulation`
-(the test suite checks distributional agreement), just 1–2 orders of
-magnitude faster for large ``n``. Use it for scaling studies; use the
+— on the same generator both make the same draws, and the test suite pins
+equal per-trial rounds — just 1–2 orders of magnitude faster for large
+``n``. Use it for scaling studies; use the
 generic engine when you need traces, observers, mixed protocols,
 activation schedules, or radio channels.
 """
@@ -21,7 +22,7 @@ activation schedules, or radio channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,16 +31,7 @@ from repro.obs.registry import get_registry
 from repro.sinr.channel import SINRChannel, decode_round, emit_sinr_probe
 from repro.sinr.geometry import NearestActiveNeighbors
 
-__all__ = ["FastRunResult", "FastRoundTelemetry", "fast_fixed_probability_run"]
-
-#: Per-round telemetry callback:
-#: ``(round_index, active_count, transmitter_count, knockouts)``. The
-#: engine's observer mechanism cannot reach the fast path (there are no
-#: RoundRecords to hand out); this callback is its lightweight stand-in,
-#: invoked once per executed round — including the solving round, whose
-#: knockout count is reported as 0 because the fast path stops before
-#: resolving it.
-FastRoundTelemetry = Callable[[int, int, int, int], None]
+__all__ = ["FastRunResult", "fast_fixed_probability_run"]
 
 _EMPTY_IDS = np.empty(0, dtype=np.intp)
 
@@ -74,7 +66,6 @@ def fast_fixed_probability_run(
     p: float,
     rng: np.random.Generator,
     max_rounds: int = 100_000,
-    telemetry: Optional[FastRoundTelemetry] = None,
 ) -> FastRunResult:
     """Run the paper's algorithm to the first solo round, vectorised.
 
@@ -82,10 +73,10 @@ def fast_fixed_probability_run(
     sources with ``duty_cycle < 1`` (continuous jammers are folded into a
     static interference vector), simultaneous activation.
 
-    ``telemetry`` receives ``(round_index, active_count, tx_count,
-    knockouts)`` per executed round; when the global metrics registry is
-    enabled the run also feeds the ``fast.*`` counters, so scaling
-    studies show up in telemetry sessions alongside generic-engine runs.
+    When the global metrics registry is enabled the run feeds the
+    ``fast.*`` counters, so scaling studies show up in telemetry sessions
+    alongside generic-engine runs; the global probe bus receives one
+    round probe per executed round, as from the engine.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
@@ -145,14 +136,11 @@ def fast_fixed_probability_run(
         if probing:
             bus.begin_round(round_index)
         if tx.size == 1:
-            if telemetry is not None:
-                telemetry(round_index, num_active, 1, 0)
             if recording:
                 obs.counter("fast.solved_executions").inc()
             if probing:
                 # The fast path stops before resolving the solo round, so
-                # its knockout count is 0 here — same as the telemetry
-                # callback's contract.
+                # its knockout count is 0 here.
                 bus.emit_round(
                     active_before=num_active,
                     tx_count=1,
@@ -182,8 +170,6 @@ def fast_fixed_probability_run(
                 if probing:
                     emit_sinr_probe(bus, decode, tx, listeners, params)
                 active[knocked_nodes] = False
-        if telemetry is not None:
-            telemetry(round_index, num_active, int(tx.size), knockouts)
         if recording and knockouts:
             c_ko.inc(knockouts)
         if probing:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols.aloha import SlottedAlohaNode, SlottedAlohaProtocol
+from repro.protocols.aloha import SlottedAlohaProtocol
 from repro.protocols.backoff import (
     BinaryExponentialBackoffNode,
     BinaryExponentialBackoffProtocol,
@@ -13,14 +13,14 @@ from repro.protocols.base import Action, Feedback
 class TestAloha:
     def test_probability_is_one_over_n(self):
         nodes = SlottedAlohaProtocol().build(8)
-        assert all(node.p == pytest.approx(1 / 8) for node in nodes)
+        assert all(node.probability(0) == pytest.approx(1 / 8) for node in nodes)
 
     def test_single_node_always_transmits(self, rng):
         nodes = SlottedAlohaProtocol().build(1)
         assert nodes[0].decide(0, rng) is Action.TRANSMIT
 
     def test_empirical_rate(self, rng):
-        node = SlottedAlohaNode(0, p=0.25)
+        node = SlottedAlohaProtocol().build(4)[0]  # p = 1/4
         hits = sum(node.decide(r, rng) is Action.TRANSMIT for r in range(4_000))
         assert hits / 4_000 == pytest.approx(0.25, abs=0.03)
 
@@ -28,7 +28,7 @@ class TestAloha:
         assert SlottedAlohaProtocol.knows_network_size is True
 
     def test_no_knockout(self):
-        node = SlottedAlohaNode(0, p=0.5)
+        node = SlottedAlohaProtocol().build(2)[0]  # p = 1/2
         node.on_feedback(0, Feedback(transmitted=False, received=1))
         assert node.active
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.protocols.base import Feedback
 from repro.protocols.carrier_sense import (
-    CarrierSenseNode,
     CarrierSenseTournamentProtocol,
     carrier_sense_threshold,
 )
@@ -33,33 +32,35 @@ class TestThresholdSizing:
 
 class TestNodeRules:
     def test_concede_on_energy_above_threshold(self):
-        node = CarrierSenseNode(0, p=0.5, threshold=1.0)
+        node = CarrierSenseTournamentProtocol(threshold=1.0, p=0.5).build(1)[0]
         node.on_feedback(0, Feedback(transmitted=False, energy=2.0))
         assert not node.active
 
     def test_concede_on_decode(self):
-        node = CarrierSenseNode(0, p=0.5, threshold=1.0)
+        node = CarrierSenseTournamentProtocol(threshold=1.0, p=0.5).build(1)[0]
         node.on_feedback(0, Feedback(transmitted=False, received=3, energy=0.1))
         assert not node.active
 
     def test_stay_on_silence(self):
-        node = CarrierSenseNode(0, p=0.5, threshold=1.0)
+        node = CarrierSenseTournamentProtocol(threshold=1.0, p=0.5).build(1)[0]
         node.on_feedback(0, Feedback(transmitted=False, energy=0.5))
         assert node.active
 
     def test_stay_when_energy_missing(self):
         # Nobody transmitted: the channel reports no energy at all.
-        node = CarrierSenseNode(0, p=0.5, threshold=1.0)
+        node = CarrierSenseTournamentProtocol(threshold=1.0, p=0.5).build(1)[0]
         node.on_feedback(0, Feedback(transmitted=False))
         assert node.active
 
     def test_transmitter_never_concedes(self):
-        node = CarrierSenseNode(0, p=0.5, threshold=1.0)
+        node = CarrierSenseTournamentProtocol(threshold=1.0, p=0.5).build(1)[0]
         node.on_feedback(0, Feedback(transmitted=True))
         assert node.active
 
     def test_declares_energy_requirement(self):
-        assert CarrierSenseNode.requires_energy_sensing is True
+        node = CarrierSenseTournamentProtocol(threshold=1.0, p=0.5).build(1)[0]
+        assert node.requires_energy_sensing is True
+        assert node.requires_collision_detection is False
         assert CarrierSenseTournamentProtocol.requires_energy_sensing is True
 
 

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.protocols.base import Feedback
-from repro.protocols.cd_tournament import (
-    CollisionDetectionTournamentNode,
-    CollisionDetectionTournamentProtocol,
-)
+from repro.protocols.cd_tournament import CollisionDetectionTournamentProtocol
 from repro.radio.channel import ChannelObservation, RadioChannel
 from repro.sim.engine import Simulation
 from repro.sim.seeding import generator_from
@@ -14,7 +11,7 @@ from repro.sim.seeding import generator_from
 
 class TestNodeRules:
     def test_listener_concedes_on_collision(self):
-        node = CollisionDetectionTournamentNode(0, p=0.5)
+        node = CollisionDetectionTournamentProtocol(p=0.5).build(1)[0]
         node.on_feedback(
             0,
             Feedback(
@@ -26,7 +23,7 @@ class TestNodeRules:
         assert not node.active
 
     def test_listener_stays_on_silence(self):
-        node = CollisionDetectionTournamentNode(0, p=0.5)
+        node = CollisionDetectionTournamentProtocol(p=0.5).build(1)[0]
         node.on_feedback(
             0,
             Feedback(
@@ -38,12 +35,12 @@ class TestNodeRules:
         assert node.active
 
     def test_transmitter_never_concedes(self):
-        node = CollisionDetectionTournamentNode(0, p=0.5)
+        node = CollisionDetectionTournamentProtocol(p=0.5).build(1)[0]
         node.on_feedback(0, Feedback(transmitted=True))
         assert node.active
 
     def test_listener_stays_on_message(self):
-        node = CollisionDetectionTournamentNode(0, p=0.5)
+        node = CollisionDetectionTournamentProtocol(p=0.5).build(1)[0]
         node.on_feedback(
             0,
             Feedback(
@@ -55,7 +52,9 @@ class TestNodeRules:
         assert node.active
 
     def test_declares_cd_requirement(self):
-        assert CollisionDetectionTournamentNode.requires_collision_detection is True
+        node = CollisionDetectionTournamentProtocol(p=0.5).build(1)[0]
+        assert node.requires_collision_detection is True
+        assert node.requires_energy_sensing is False
         assert CollisionDetectionTournamentProtocol.requires_collision_detection is True
 
 

@@ -117,9 +117,11 @@ class TestEquivalenceWithGenericEngine:
     def test_distributions_agree(self):
         """Fast path and generic engine must produce the same statistics.
 
-        The two consume randomness differently, so traces differ per seed;
-        agreement is distributional: matched trial counts, means within a
-        few combined standard errors.
+        On one generator the two make identical draws
+        (:class:`TestEngineExactParity` pins equal rounds). Here each path
+        gets its own independent generator per trial, so traces differ
+        per seed and agreement is distributional: matched trial counts,
+        means within a few combined standard errors.
         """
         n, trials, p = 48, 60, 0.1
         fast_rounds = []

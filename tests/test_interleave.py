@@ -3,6 +3,7 @@
 import pytest
 
 from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.carrier_sense import CarrierSenseTournamentProtocol
 from repro.protocols.cd_tournament import CollisionDetectionTournamentProtocol
 from repro.protocols.decay import DecayProtocol
 from repro.protocols.interleave import InterleavedNode, InterleavedProtocol
@@ -121,3 +122,25 @@ class TestFactory:
             channel, nodes, rng=generator_from(5), max_rounds=5_000
         ).run()
         assert trace.solved
+
+
+class TestCapabilities:
+    """An interleaved protocol needs whatever either of its lanes needs."""
+
+    def _carrier_sense_lane(self):
+        return InterleavedProtocol(CarrierSenseTournamentProtocol(1.0), DecayProtocol())
+
+    def test_declares_lane_energy_sensing(self):
+        protocol = self._carrier_sense_lane()
+        assert protocol.requires_energy_sensing
+        assert protocol.build(2)[0].requires_energy_sensing
+        plain = InterleavedProtocol(FixedProbabilityProtocol(), DecayProtocol())
+        assert not plain.requires_energy_sensing
+        assert not plain.build(2)[0].requires_energy_sensing
+
+    def test_energy_sensing_lane_refused_on_radio(self):
+        # The lane alone is refused; hiding it in an interleaving must not
+        # let it run blind (it would never concede on energy).
+        nodes = self._carrier_sense_lane().build(16)
+        with pytest.raises(ValueError, match="carrier sensing"):
+            Simulation(RadioChannel(16), nodes, rng=generator_from(0))

@@ -6,9 +6,9 @@ import pytest
 
 from repro.protocols.base import Feedback
 from repro.protocols.js16 import (
-    JurdzinskiStachowiakNode,
     JurdzinskiStachowiakProtocol,
     _schedule_parameters,
+    js16_probability,
 )
 
 
@@ -39,19 +39,17 @@ class TestScheduleParameters:
 
 class TestNode:
     def test_probability_schedule_shape(self):
-        node = JurdzinskiStachowiakNode(0, num_steps=3, dwell=2, base=4.0)
         # Step 0 (rounds 0-1): 1/4; step 1 (rounds 2-3): 1/16; ...
-        assert node.broadcast_probability(0) == pytest.approx(0.25)
-        assert node.broadcast_probability(1) == pytest.approx(0.25)
-        assert node.broadcast_probability(2) == pytest.approx(1 / 16)
-        assert node.broadcast_probability(4) == pytest.approx(1 / 64)
+        assert js16_probability(3, 2, 4.0, 0) == pytest.approx(0.25)
+        assert js16_probability(3, 2, 4.0, 1) == pytest.approx(0.25)
+        assert js16_probability(3, 2, 4.0, 2) == pytest.approx(1 / 16)
+        assert js16_probability(3, 2, 4.0, 4) == pytest.approx(1 / 64)
 
     def test_schedule_wraps(self):
-        node = JurdzinskiStachowiakNode(0, num_steps=3, dwell=2, base=4.0)
-        assert node.broadcast_probability(6) == node.broadcast_probability(0)
+        assert js16_probability(3, 2, 4.0, 6) == js16_probability(3, 2, 4.0, 0)
 
     def test_knockout_on_receive(self):
-        node = JurdzinskiStachowiakNode(0, num_steps=2, dwell=1, base=2.0)
+        node = JurdzinskiStachowiakProtocol(size_bound=4).build(1)[0]
         node.on_feedback(0, Feedback(transmitted=False, received=1))
         assert not node.active
 

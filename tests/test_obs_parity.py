@@ -4,16 +4,18 @@ per-round story the generic engine's observers see on a shared seed.
 Both paths draw the same RNG stream (``n_active`` uniform doubles per
 round, ascending node order), so on a deterministic channel the two
 executions are identical round for round — which makes telemetry parity
-an *exact* assertion, not a distributional one. The one sanctioned
-difference: the fast path stops before resolving the solving round, so
-that final round reports 0 knockouts while the engine records the
-knockouts caused by the solo transmission.
+an *exact* assertion, not a distributional one. The fast path's per-round
+rows are its round probes, ``(round, active_before, tx_count, knockouts)``
+as a :class:`ProbeRecorder` stores them. The one sanctioned difference:
+the fast path stops before resolving the solving round, so that final
+round reports 0 knockouts while the engine records the knockouts caused
+by the solo transmission.
 """
 
-import numpy as np
 import pytest
 
 from repro.deploy.topologies import uniform_disk
+from repro.obs.probe import ProbeBus, ProbeRecorder, set_probe_bus
 from repro.obs.registry import MetricsRegistry, set_registry
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
@@ -51,13 +53,17 @@ def _engine_rows(channel, p, seed):
 
 
 def _fast_rows(channel, p, seed):
-    rows = []
-    result = fast_fixed_probability_run(
-        channel,
-        p=p,
-        rng=generator_from(seed),
-        telemetry=lambda *args: rows.append(args),
-    )
+    bus = ProbeBus(enabled=True)
+    recorder = ProbeRecorder()
+    bus.subscribe(recorder)
+    previous = set_probe_bus(bus)
+    try:
+        result = fast_fixed_probability_run(channel, p=p, rng=generator_from(seed))
+    finally:
+        set_probe_bus(previous)
+    columns = recorder.snapshot()
+    names = ("rounds_round", "rounds_active", "rounds_tx", "rounds_knockouts")
+    rows = list(zip(*(columns[name].tolist() for name in names)))
     return result, rows
 
 
@@ -130,17 +136,3 @@ def test_no_registry_records_when_disabled():
     finally:
         set_registry(previous)
     assert registry.snapshot() == {}
-
-
-def test_telemetry_callback_runs_without_registry():
-    """The callback is independent of the registry's enabled state."""
-    channel = _channel(16)
-    calls = []
-    result = fast_fixed_probability_run(
-        channel,
-        p=0.2,
-        rng=generator_from(2),
-        telemetry=lambda *args: calls.append(args),
-    )
-    assert len(calls) == result.rounds_executed
-    assert all(isinstance(v, (int, np.integer)) for row in calls for v in row)

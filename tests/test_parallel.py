@@ -20,6 +20,7 @@ import pytest
 from repro.obs.events import JsonlEventSink, read_events, set_sink
 from repro.obs.probe import ProbeBus, ProbeRecorder, set_probe_bus
 from repro.obs.registry import MetricsRegistry, set_registry
+from repro.protocols.js16 import JurdzinskiStachowiakProtocol
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.parallel import (
     DEFAULT_SHARD_ATTEMPTS,
@@ -91,16 +92,22 @@ class TestEngineParity:
         )
         assert parallel.rounds == serial.rounds
 
-    def test_spawn_start_method_with_picklable_spec(self):
+    @pytest.mark.parametrize(
+        "protocol",
+        [_protocol(), JurdzinskiStachowiakProtocol()],
+        ids=["simple", "js16"],
+    )
+    def test_spawn_start_method_with_picklable_spec(self, protocol):
         # The spec must survive full pickling — this is the spawn-safety
-        # contract; 4 trials keep the two fresh interpreters cheap.
+        # contract, for a constant schedule and a bound non-constant one;
+        # 4 trials keep the two fresh interpreters cheap.
         factory = FACTORIES["deterministic"]
         serial = run_trials(
-            factory, _protocol(), trials=4, seed=SEED, max_rounds=MAX_ROUNDS
+            factory, protocol, trials=4, seed=SEED, max_rounds=MAX_ROUNDS
         )
         parallel = run_trials_parallel(
             factory,
-            _protocol(),
+            protocol,
             trials=4,
             seed=SEED,
             max_rounds=MAX_ROUNDS,

@@ -1,8 +1,17 @@
 """Unit tests for the protocol base interface."""
 
+from functools import partial
+
 import pytest
 
-from repro.protocols.base import Action, Feedback, NodeProtocol, ProtocolFactory
+from repro.protocols.base import (
+    Action,
+    Feedback,
+    NodeProtocol,
+    ProtocolFactory,
+    ScheduleProtocol,
+    constant,
+)
 
 
 class _MinimalNode(NodeProtocol):
@@ -73,3 +82,28 @@ class TestProtocolFactory:
 class TestActionEnum:
     def test_two_actions(self):
         assert {a.value for a in Action} == {"transmit", "listen"}
+
+
+class _ConstantSchedule(ScheduleProtocol):
+    name = "constant"
+
+    def schedule(self, n):
+        return partial(constant, 0.5)
+
+
+class TestScheduleProtocol:
+    def test_default_rule_never_concedes(self):
+        node = _ConstantSchedule().build(1)[0]
+        node.on_feedback(0, Feedback(transmitted=False, received=2, energy=9.0))
+        assert node.active
+
+    def test_rule_outside_closed_set_refused(self):
+        protocol = _ConstantSchedule()
+        protocol.concede = lambda feedback, threshold: True
+        with pytest.raises(ValueError, match="CONCEDE_RULES"):
+            protocol.build(2)
+
+    def test_nodes_share_the_schedule(self):
+        nodes = _ConstantSchedule().build(3)
+        assert [n.node_id for n in nodes] == [0, 1, 2]
+        assert all(n.probability(7) == 0.5 for n in nodes)

@@ -5,9 +5,9 @@ import pytest
 
 from repro.protocols.base import Feedback
 from repro.protocols.sawtooth import (
-    SawtoothBackoffNode,
     SawtoothBackoffProtocol,
     _window_of_round,
+    sawtooth_probability,
 )
 from repro.radio.channel import RadioChannel
 from repro.sim.engine import Simulation
@@ -31,14 +31,12 @@ class TestWindowSchedule:
         assert _window_of_round(cycle + 2, max_exponent=3) == 4
 
     def test_probability_is_reciprocal_window(self):
-        node = SawtoothBackoffNode(0, max_exponent=3, deactivate_on_receive=False)
-        assert node.broadcast_probability(0) == pytest.approx(0.5)
-        assert node.broadcast_probability(3) == pytest.approx(0.25)
-        assert node.broadcast_probability(10) == pytest.approx(0.125)
+        assert sawtooth_probability(3, 0) == pytest.approx(0.5)
+        assert sawtooth_probability(3, 3) == pytest.approx(0.25)
+        assert sawtooth_probability(3, 10) == pytest.approx(0.125)
 
     def test_each_window_w_lasts_w_rounds(self):
-        node = SawtoothBackoffNode(0, max_exponent=5, deactivate_on_receive=False)
-        probabilities = [node.broadcast_probability(r) for r in range(2 + 4 + 8 + 16 + 32)]
+        probabilities = [sawtooth_probability(5, r) for r in range(2 + 4 + 8 + 16 + 32)]
         for w in (2, 4, 8, 16, 32):
             assert probabilities.count(pytest.approx(1.0 / w)) == w
 

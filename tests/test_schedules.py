@@ -6,7 +6,7 @@ import pytest
 from repro.protocols.aloha import SlottedAlohaProtocol
 from repro.protocols.backoff import BinaryExponentialBackoffProtocol
 from repro.protocols.decay import DecayProtocol
-from repro.protocols.js16 import JurdzinskiStachowiakProtocol
+from repro.protocols.js16 import JurdzinskiStachowiakProtocol, _schedule_parameters
 from repro.protocols.schedules import (
     expected_transmitters,
     has_oblivious_schedule,
@@ -30,8 +30,8 @@ class TestProbabilitySchedule:
         factory = JurdzinskiStachowiakProtocol(size_bound=1 << 16)
         schedule = probability_schedule(factory, horizon=8, n=16)
         # Probabilities change only every `dwell` rounds.
-        node = factory.build(16)[0]
-        assert schedule[0] == schedule[node.dwell - 1]
+        _, dwell, _ = _schedule_parameters(1 << 16)
+        assert schedule[0] == schedule[dwell - 1]
 
     def test_aloha_uses_constant_p(self):
         schedule = probability_schedule(SlottedAlohaProtocol(), horizon=4, n=4)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.protocols.base import Action, Feedback
-from repro.protocols.simple import FixedProbabilityNode, FixedProbabilityProtocol
+from repro.protocols.simple import FixedProbabilityProtocol
+
+
+def _node(p, node_id=0):
+    """Node ``node_id`` of the paper's algorithm with probability ``p``."""
+    return FixedProbabilityProtocol(p=p).build(node_id + 1)[node_id]
 
 
 class TestFactory:
@@ -17,7 +22,7 @@ class TestFactory:
 
     def test_probability_propagates(self):
         nodes = FixedProbabilityProtocol(p=0.42).build(2)
-        assert all(node.p == 0.42 for node in nodes)
+        assert all(node.probability(0) == 0.42 for node in nodes)
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError, match="probability"):
@@ -44,13 +49,13 @@ class TestFactory:
 
 class TestDecide:
     def test_probability_one_always_transmits(self, rng):
-        node = FixedProbabilityNode(0, p=1.0)
+        node = _node(1.0)
         assert all(
             node.decide(r, rng) is Action.TRANSMIT for r in range(50)
         )
 
     def test_empirical_rate_matches_p(self, rng):
-        node = FixedProbabilityNode(0, p=0.3)
+        node = _node(0.3)
         transmissions = sum(
             node.decide(r, rng) is Action.TRANSMIT for r in range(5_000)
         )
@@ -58,7 +63,7 @@ class TestDecide:
 
     def test_decision_is_time_invariant(self, rng):
         # The schedule is memoryless: the round index must not matter.
-        node = FixedProbabilityNode(0, p=0.5)
+        node = _node(0.5)
         early = sum(node.decide(r, rng) is Action.TRANSMIT for r in range(2_000))
         late = sum(
             node.decide(r, rng) is Action.TRANSMIT
@@ -69,36 +74,36 @@ class TestDecide:
 
 class TestKnockout:
     def test_reception_deactivates(self):
-        node = FixedProbabilityNode(0, p=0.5)
+        node = _node(0.5)
         node.on_feedback(0, Feedback(transmitted=False, received=3))
         assert not node.active
 
     def test_silence_keeps_active(self):
-        node = FixedProbabilityNode(0, p=0.5)
+        node = _node(0.5)
         node.on_feedback(0, Feedback(transmitted=False, received=None))
         assert node.active
 
     def test_transmitting_keeps_active(self):
-        node = FixedProbabilityNode(0, p=0.5)
+        node = _node(0.5)
         node.on_feedback(0, Feedback(transmitted=True))
         assert node.active
 
     def test_knockout_is_permanent(self):
-        node = FixedProbabilityNode(0, p=0.5)
+        node = _node(0.5)
         node.on_feedback(0, Feedback(transmitted=False, received=1))
         node.on_feedback(1, Feedback(transmitted=False, received=None))
         assert not node.active
 
     def test_receiving_from_node_zero_counts(self):
         # Sender id 0 is falsy; the knockout test must use `is not None`.
-        node = FixedProbabilityNode(1, p=0.5)
+        node = _node(0.5, node_id=1)
         node.on_feedback(0, Feedback(transmitted=False, received=0))
         assert not node.active
 
 
 class TestRepr:
     def test_repr_shows_state(self):
-        node = FixedProbabilityNode(7, p=0.5)
+        node = _node(0.5, node_id=7)
         assert "7" in repr(node)
         assert "active" in repr(node)
         node.on_feedback(0, Feedback(transmitted=False, received=1))
