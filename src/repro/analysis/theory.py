@@ -16,8 +16,6 @@ recursion), so tests and experiments can assert measured-vs-predicted:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict
 
 import numpy as np
 
@@ -109,28 +107,6 @@ def geometric_knockout_rounds(n: int, gamma: float) -> float:
     return math.log(n) / math.log(1.0 / gamma)
 
 
-@lru_cache(maxsize=None)
-def _binomial_pmf_row(k: int, p: float) -> tuple:
-    """PMF of Binomial(k, p) as a tuple indexed by outcome."""
-    outcomes = np.arange(k + 1)
-    # Stable enough for the k values used here (<= a few thousand).
-    log_comb = (
-        [0.0]
-        if k == 0
-        else [
-            math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
-            for j in outcomes
-        ]
-    )
-    log_p = math.log(p)
-    log_q = math.log(1.0 - p)
-    pmf = [
-        math.exp(lc + j * log_p + (k - j) * log_q)
-        for j, lc in zip(outcomes, log_comb)
-    ]
-    return tuple(pmf)
-
-
 def cd_tournament_expected_rounds(n: int, p: float = 0.5) -> float:
     """Exact expected solve time of the collision-detection tournament.
 
@@ -142,21 +118,29 @@ def cd_tournament_expected_rounds(n: int, p: float = 0.5) -> float:
 
         E[k] * (1 - P(0|k) - P(k|k)) = 1 + sum_{j=2}^{k-1} P(j|k) E[j]
 
-    ``E[1] = 0`` by definition (with one contender the next transmission
-    is solo; state 1 is absorbed at its first transmission, handled by the
-    general formula with the empty sum).
+    ``E[1] = 1/p``: a lone contender is solo at its first transmission,
+    a geometric wait with success ``p``. Each row's binomial PMF comes
+    from one table of ``log(k!)`` and the sum is a dot product, so the
+    whole recurrence costs O(n^2) numpy work.
     """
     if n < 1:
         raise ValueError(f"n must be positive (got {n})")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1) (got {p})")
-    expected: Dict[int, float] = {}
-    # E[1]: each round the lone contender transmits w.p. p (solo) else
-    # silence; geometric with success p.
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_p = math.log(p)
+    log_q = math.log(1.0 - p)
+    expected = np.zeros(n + 1)
     expected[1] = 1.0 / p
     for k in range(2, n + 1):
-        pmf = _binomial_pmf_row(k, p)
-        absorbing = 1.0 - pmf[0] - (pmf[k] if k >= 2 else 0.0)
-        cross = sum(pmf[j] * expected[j] for j in range(2, k))
-        expected[k] = (1.0 + cross) / absorbing
-    return expected[n]
+        j = np.arange(k + 1)
+        pmf = np.exp(
+            log_factorial[k]
+            - log_factorial[j]
+            - log_factorial[k - j]
+            + j * log_p
+            + (k - j) * log_q
+        )
+        absorbing = 1.0 - pmf[0] - pmf[k]
+        expected[k] = (1.0 + pmf[2:k] @ expected[2:k]) / absorbing
+    return float(expected[n])

@@ -29,9 +29,9 @@ __all__ = [
 
 # ``default_workers`` (and its getter) is re-exported here as the
 # experiments' knob for trial throughput: the CLI wraps a run in
-# ``with default_workers(args.workers):`` and every ``run_trials`` /
-# ``run_fast_trials`` call inside — none of which takes a worker count —
-# dispatches to the process pool. Experiments stay oblivious to it; the
+# ``with default_workers(args.workers):`` and every ``run_trials`` call
+# inside — none of which takes a worker count — dispatches to the
+# process pool. Experiments stay oblivious to it; the
 # seed-sharding contract (docs/parallelism.md) guarantees their numbers
 # cannot change.
 

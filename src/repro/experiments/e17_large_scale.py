@@ -1,11 +1,10 @@
 """E17 — the ``log n`` law at scale (vectorised fast path).
 
-E1 establishes the growth law up to ``n = 512`` (on the fast path too,
-bit-identical to its original generic-engine runs); this experiment
-pushes two further orders of binary magnitude using the vectorised fast
-path (``repro.sim.fast``), which is behaviourally equivalent for the
-paper's algorithm but collapses each round into numpy reductions.
-Both sweeps honour the CLI's ``--workers`` sharding
+E1 establishes the growth law up to ``n = 512``; this experiment pushes
+two further orders of binary magnitude. Both run through ``run_trials``,
+which puts the paper's algorithm on the vectorised loop
+(``repro.sim.fast``): bit-identical to the generic engine, but each
+round is a handful of numpy reductions. Both sweeps honour the CLI's ``--workers`` sharding
 (docs/parallelism.md).
 
 Statistical honesty note. Over ``log₂ n ∈ [6, 12]`` the laws
@@ -35,8 +34,9 @@ import numpy as np
 
 from repro.analysis.fits import fit_models
 from repro.experiments.common import ExperimentResult
-from repro.sim.parallel import UniformDiskFactory, run_fast_trials
-from repro.sim.runner import high_probability_budget
+from repro.protocols.simple import FixedProbabilityProtocol
+from repro.sim.parallel import UniformDiskFactory
+from repro.sim.runner import high_probability_budget, run_trials
 from repro.sinr.parameters import SINRParameters
 
 TITLE = "the log n law at scale (vectorised fast path, n to 4096)"
@@ -76,13 +76,12 @@ def run(config: Config) -> ExperimentResult:
     means: List[float] = []
     for n in config.sizes:
         budget = 40 * high_probability_budget(n)
-        # run_fast_trials derives trial generators from ((seed, n), trial)
-        # exactly as this experiment always did, so the sweep's numbers are
-        # unchanged — but it adds cost telemetry and honours the CLI's
-        # --workers sharding (docs/parallelism.md).
-        stats = run_fast_trials(
+        # run_trials derives trial generators from ((seed, n), trial) and
+        # runs the schedule protocol on the vectorised loop; it honours
+        # the CLI's --workers sharding (docs/parallelism.md).
+        stats = run_trials(
             UniformDiskFactory(n, params=params),
-            config.p,
+            FixedProbabilityProtocol(config.p),
             trials=config.trials,
             seed=(config.seed, n),
             max_rounds=budget,

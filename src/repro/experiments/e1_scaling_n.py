@@ -18,14 +18,12 @@ must fall below the geometric mean of ``log2(n_1)/log2(n_0)`` and
 Both candidate laws are also least-squares fitted and reported as notes
 (the AIC comparison is too fragile at these sample sizes to gate on).
 
-Execution note: the sweep runs through ``run_fast_trials`` — for the
-paper's fixed-``p`` algorithm on a deterministic SINR channel the fast
-path consumes the identical coin-flip stream and computes the identical
-decode as ``FixedProbabilityProtocol`` through the generic engine, so
-every number here is **bit-identical** to the engine runs this
-experiment previously performed (pinned by
-``tests/test_fast_path.py::TestEngineExactParity``). The switch makes
-the sweep honour the CLI's ``--workers`` sharding (docs/parallelism.md).
+Execution note: ``run_trials`` runs the paper's algorithm, a schedule
+protocol, on the vectorised loop (``repro.sim.fast.run_schedule``). The
+loop makes the same draws as the generic engine and resolves the same
+rounds, so every number here is **bit-identical** to an engine run
+(pinned by ``tests/test_fast_path.py::TestEngineExactParity``), and the
+sweep honours the CLI's ``--workers`` sharding (docs/parallelism.md).
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from typing import List
 from repro.analysis.fits import fit_models
 from repro.deploy.topologies import uniform_disk
 from repro.experiments.common import ExperimentResult
-from repro.sim.parallel import run_fast_trials
-from repro.sim.runner import high_probability_budget
+from repro.protocols.simple import FixedProbabilityProtocol
+from repro.sim.runner import high_probability_budget, run_trials
 from repro.sinr.channel import SINRChannel
 from repro.sinr.parameters import SINRParameters
 
@@ -85,11 +83,9 @@ def run(config: Config) -> ExperimentResult:
     means: List[float] = []
     p95s: List[float] = []
     for n in config.sizes:
-        stats = run_fast_trials(
-            channel_factory=lambda rng, n=n: SINRChannel(
-                uniform_disk(n, rng), params=params
-            ),
-            p=config.p,
+        stats = run_trials(
+            lambda rng, n=n: SINRChannel(uniform_disk(n, rng), params=params),
+            FixedProbabilityProtocol(config.p),
             trials=config.trials,
             seed=(config.seed, n),
             max_rounds=high_probability_budget(n),

@@ -21,14 +21,16 @@ Three kinds of probes flow over the bus:
     Per listener of one round — the decoded-candidate SINR, its margin to
     ``beta``, whether the message was delivered, and the top interferer
     (the strongest *other* transmitter) with its share of the
-    interference sum. Published by :meth:`repro.sinr.SINRChannel.resolve`
-    and by the vectorised fast path, which resolves rounds itself.
+    interference sum. Published by :meth:`repro.sinr.SINRChannel.listen`,
+    the array-level round both runners resolve rounds through.
 
 :class:`ExecutionProbe`
     One per execution — node count, rounds executed, solving round.
 
 Publication points are the generic engine (:mod:`repro.sim.engine`), the
-vectorised fast path (:mod:`repro.sim.fast`) and the SINR channel;
+vectorised loop (:mod:`repro.sim.fast`) and the SINR channel; both
+runners resolve every round, the solving one included, so they emit the
+same rows;
 :mod:`repro.sim.parallel` workers record into local buses and ship their
 recorder snapshots back for order-preserving merging, so a sharded run's
 ``probes.npz`` is bit-identical to a serial run's.

@@ -24,6 +24,10 @@ oblivious broadcast schedule ``p(round)`` plus a rule for when a listener
 drops out. :class:`ScheduleProtocol` declares exactly those two things —
 ``schedule(n)`` and a ``concede`` rule from the closed set
 :data:`CONCEDE_RULES` — and builds one :class:`ScheduleNode` per node.
+Each rule is written once over a :class:`~repro.radio.channel.Hearing`
+record, so the engine's nodes (one listener, scalars) and the vectorised
+loop of :mod:`repro.sim.fast` (every listener, arrays) apply the same
+function.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.radio.channel import ChannelObservation
+from repro.radio.channel import ChannelObservation, Hearing
 
 __all__ = [
     "Action",
@@ -109,6 +113,8 @@ class NodeProtocol(ABC):
 
     requires_collision_detection: bool = False
     requires_energy_sensing: bool = False
+    #: The name an execution trace records; ``None`` means the class name.
+    protocol_name: Optional[str] = None
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
@@ -166,31 +172,30 @@ def constant(p: float, round_index: int) -> float:
     return p
 
 
-def never(feedback: Feedback, threshold: Optional[float]) -> bool:
+def never(heard: Hearing, threshold: Optional[float]):
     """Listeners never drop out (ALOHA, classical decay)."""
-    return False
+    return np.zeros_like(heard.received, dtype=bool)
 
 
-def on_reception(feedback: Feedback, threshold: Optional[float]) -> bool:
+def on_reception(heard: Hearing, threshold: Optional[float]):
     """Drop out on decoding a message — the paper's knockout rule."""
-    return feedback.received is not None
+    return heard.received >= 0
 
 
-def on_collision(feedback: Feedback, threshold: Optional[float]) -> bool:
+def on_collision(heard: Hearing, threshold: Optional[float]):
     """Drop out on a detected collision (needs collision detection)."""
-    return feedback.observation is ChannelObservation.COLLISION
+    return heard.collision
 
 
-def on_signal(feedback: Feedback, threshold: Optional[float]) -> bool:
+def on_signal(heard: Hearing, threshold: Optional[float]):
     """Drop out on a decoded message or sensed energy ``>= threshold``."""
-    return feedback.received is not None or (
-        feedback.energy is not None and feedback.energy >= threshold
-    )
+    return (heard.received >= 0) | (heard.energy >= threshold)
 
 
 #: The closed set of concede rules a :class:`ScheduleProtocol` may declare:
-#: when a *listener* drops out, given its feedback and the node's energy
-#: threshold. Transmitters never concede — they learn nothing of the round.
+#: when a *listener* drops out, given what it heard and the protocol's
+#: energy threshold. Transmitters never concede — they learn nothing of
+#: the round.
 CONCEDE_RULES = (never, on_reception, on_collision, on_signal)
 
 
@@ -198,8 +203,10 @@ class ScheduleNode(NodeProtocol):
     """One node of a :class:`ScheduleProtocol`.
 
     Each round it makes one draw, ``rng.random() < probability(round)``;
-    as a listener it drops out when ``concede(feedback, threshold)`` holds.
-    The rule, threshold and capability flags are copied from the factory.
+    as a listener it drops out when ``concede(heard, threshold)`` holds for
+    its feedback read as a one-listener :class:`Hearing` (``-1`` for no
+    decode, ``-inf`` for no energy reading). The rule, threshold,
+    capability flags and ``protocol_name`` are copied from the factory.
     """
 
     def __init__(
@@ -207,6 +214,7 @@ class ScheduleNode(NodeProtocol):
     ) -> None:
         super().__init__(node_id)
         self.probability = probability
+        self.protocol_name = protocol.name
         self.concede = protocol.concede
         self.threshold = protocol.threshold
         self.requires_collision_detection = protocol.requires_collision_detection
@@ -218,7 +226,14 @@ class ScheduleNode(NodeProtocol):
         return Action.LISTEN
 
     def on_feedback(self, round_index: int, feedback: Feedback) -> None:
-        if not feedback.transmitted and self.concede(feedback, self.threshold):
+        if feedback.transmitted:
+            return
+        heard = Hearing(
+            -1 if feedback.received is None else feedback.received,
+            -np.inf if feedback.energy is None else feedback.energy,
+            feedback.observation is ChannelObservation.COLLISION,
+        )
+        if self.concede(heard, self.threshold):
             self._active = False
 
 
@@ -238,10 +253,14 @@ class ScheduleProtocol(ProtocolFactory):
     def schedule(self, n: int) -> Schedule:
         """Per-round broadcast probability for ``n`` participating nodes."""
 
-    def build(self, n: int) -> List[NodeProtocol]:
+    def checked_schedule(self, n: int) -> Schedule:
+        """:meth:`schedule` after validating ``n`` and the concede rule."""
         if n < 1:
             raise ValueError(f"n must be positive (got {n})")
         if self.concede not in CONCEDE_RULES:
             raise ValueError(f"concede rule {self.concede!r} is not in CONCEDE_RULES")
-        probability = self.schedule(n)
+        return self.schedule(n)
+
+    def build(self, n: int) -> List[NodeProtocol]:
+        probability = self.checked_schedule(n)
         return [ScheduleNode(i, probability, self) for i in range(n)]

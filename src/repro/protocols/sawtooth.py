@@ -39,15 +39,12 @@ def _window_of_round(round_index: int, max_exponent: int) -> int:
     """Window size in force at the given (0-based) round.
 
     Windows run 2, 4, 8, ..., 2^max_exponent, then the sawtooth restarts.
+    A cycle lasts ``2^(m+1) - 2`` rounds, and the window in force at
+    ``position`` of the cycle is the largest power of two not above
+    ``position + 2``.
     """
-    cycle_length = sum(2**e for e in range(1, max_exponent + 1))
-    position = round_index % cycle_length
-    for exponent in range(1, max_exponent + 1):
-        width = 2**exponent
-        if position < width:
-            return width
-        position -= width
-    raise AssertionError("unreachable: position exceeded cycle length")
+    position = round_index % ((1 << (max_exponent + 1)) - 2)
+    return 1 << ((position + 2).bit_length() - 1)
 
 
 def sawtooth_probability(max_exponent: int, round_index: int) -> float:

@@ -41,9 +41,7 @@ __all__ = [
 def _schedule(factory: ProtocolFactory, n: int) -> Schedule:
     if not isinstance(factory, ScheduleProtocol):
         raise TypeError(f"{type(factory).__name__} has no oblivious broadcast schedule")
-    if n < 1:
-        raise ValueError(f"n must be positive (got {n})")
-    return factory.schedule(n)
+    return factory.checked_schedule(n)
 
 
 def has_oblivious_schedule(factory: ProtocolFactory) -> bool:

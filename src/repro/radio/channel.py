@@ -12,13 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.obs.registry import get_registry
 
-__all__ = ["ChannelObservation", "RadioReport", "RadioChannel"]
+__all__ = ["ChannelObservation", "Hearing", "RadioReport", "RadioChannel"]
 
 
 class ChannelObservation(Enum):
@@ -27,6 +27,22 @@ class ChannelObservation(Enum):
     SILENCE = "silence"
     MESSAGE = "message"
     COLLISION = "collision"
+
+
+class Hearing(NamedTuple):
+    """What each listener of one round hears, as arrays over the listeners.
+
+    Every channel's ``listen`` returns one; the concede rules of
+    :mod:`repro.protocols.base` read it, array-wide in the vectorised
+    loop and one listener at a time (as scalars) on the engine.
+    """
+
+    #: Decoded sender per listener, ``-1`` where nothing was decoded.
+    received: np.ndarray
+    #: Total arriving power per listener; ``-inf`` where none is measured.
+    energy: np.ndarray
+    #: Whether the listener detected a collision.
+    collision: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,25 @@ class RadioChannel:
         )
         return report
 
+    def listen(
+        self,
+        tx: np.ndarray,
+        listeners: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Hearing:
+        """One round at array level: every listener hears the same thing.
+
+        A lone transmitter reaches every listener; two or more collide,
+        which listeners detect only with collision detection. No energy
+        is measured and no randomness drawn.
+        """
+        size = listeners.shape
+        return Hearing(
+            np.full(size, tx[0] if tx.size == 1 else -1, dtype=np.intp),
+            np.full(size, -np.inf),
+            np.broadcast_to(self.collision_detection and tx.size > 1, size),
+        )
+
     def _resolve(
         self,
         transmitters: Sequence[int],
@@ -118,24 +153,21 @@ class RadioChannel:
                 raise IndexError("listener index out of range")
             listen_ids = [i for i in requested if i not in tx_set]
 
+        heard = self.listen(
+            np.asarray(tx, dtype=np.intp), np.asarray(listen_ids, dtype=np.intp)
+        )
         received: Dict[int, int] = {}
         observations: Dict[int, ChannelObservation] = {}
-        if len(tx) == 1:
-            sender = tx[0]
-            for listener in listen_ids:
+        for listener, sender, collided in zip(
+            listen_ids, heard.received.tolist(), heard.collision.tolist()
+        ):
+            if sender >= 0:
                 received[listener] = sender
                 observations[listener] = ChannelObservation.MESSAGE
-        elif len(tx) == 0:
-            for listener in listen_ids:
+            elif collided:
+                observations[listener] = ChannelObservation.COLLISION
+            else:
                 observations[listener] = ChannelObservation.SILENCE
-        else:
-            collided = (
-                ChannelObservation.COLLISION
-                if self.collision_detection
-                else ChannelObservation.SILENCE
-            )
-            for listener in listen_ids:
-                observations[listener] = collided
         return RadioReport(
             transmitters=tuple(tx),
             received_from=received,

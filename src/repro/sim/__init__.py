@@ -13,7 +13,7 @@ aggregates statistics; ``seeding`` centralises deterministic RNG spawning.
 """
 
 from repro.sim.engine import Simulation
-from repro.sim.fast import FastRunResult, fast_fixed_probability_run
+from repro.sim.fast import FastRunResult, fast_fixed_probability_run, run_schedule
 from repro.sim.trace_io import load_trace, save_trace
 from repro.sim.verification import TraceViolation, verify_trace
 from repro.sim.runner import TrialStats, execute_trial, high_probability_budget, run_trials
@@ -48,6 +48,7 @@ __all__ = [
     "load_trace",
     "partition_trials",
     "run_fast_trials",
+    "run_schedule",
     "run_trials",
     "run_trials_parallel",
     "save_trace",

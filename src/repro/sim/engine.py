@@ -40,11 +40,28 @@ from repro.radio.channel import RadioChannel
 from repro.sinr.geometry import NearestActiveNeighbors
 from repro.sim.trace import ExecutionTrace, RoundRecord
 
-__all__ = ["Simulation"]
+__all__ = ["Simulation", "check_capabilities"]
 
 #: Observer signature: called after each round with the fresh record and the
 #: post-round active mask (numpy bool array indexed by node id).
 RoundObserver = Callable[[RoundRecord, np.ndarray], None]
+
+
+def check_capabilities(channel, declarers) -> None:
+    """Refuse protocol/channel pairings whose assumptions do not hold.
+
+    ``declarers`` carry the ``requires_*`` flags: the nodes of an engine
+    run, or the factory of a vectorised one (:mod:`repro.sim.fast`).
+    """
+    if any(getattr(d, "requires_collision_detection", False) for d in declarers):
+        if not (isinstance(channel, RadioChannel) and channel.collision_detection):
+            raise ValueError("protocol requires a collision-detection radio channel")
+    if any(getattr(d, "requires_energy_sensing", False) for d in declarers):
+        if not getattr(channel, "provides_energy", False):
+            raise ValueError(
+                "protocol requires carrier sensing (per-round energy), which "
+                "this channel does not provide"
+            )
 
 
 class Simulation:
@@ -95,7 +112,7 @@ class Simulation:
             )
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be positive (got {max_rounds})")
-        self._check_capabilities(channel, nodes)
+        check_capabilities(channel, nodes)
         if activation_schedule is None:
             activation = np.zeros(channel.n, dtype=np.int64)
         else:
@@ -113,28 +130,10 @@ class Simulation:
         self.max_rounds = max_rounds
         self.keep_records = keep_records
         self.observers = list(observers) if observers else []
-        self.protocol_name = protocol_name or type(nodes[0]).__name__
+        self.protocol_name = (
+            protocol_name or nodes[0].protocol_name or type(nodes[0]).__name__
+        )
         self.activation = activation
-
-    @staticmethod
-    def _check_capabilities(channel, nodes: List[NodeProtocol]) -> None:
-        """Refuse protocol/channel pairings whose assumptions do not hold."""
-        needs_cd = any(
-            getattr(node, "requires_collision_detection", False) for node in nodes
-        )
-        if needs_cd:
-            if not (isinstance(channel, RadioChannel) and channel.collision_detection):
-                raise ValueError(
-                    "protocol requires a collision-detection radio channel"
-                )
-        needs_energy = any(
-            getattr(node, "requires_energy_sensing", False) for node in nodes
-        )
-        if needs_energy and not getattr(channel, "provides_energy", False):
-            raise ValueError(
-                "protocol requires carrier sensing (per-round energy), which "
-                "this channel does not provide"
-            )
 
     def run(self) -> ExecutionTrace:
         """Execute rounds until solved or the budget is exhausted.

@@ -1,22 +1,26 @@
-"""Vectorised fast path for the paper's algorithm on the SINR channel.
+"""The vectorised loop: any schedule protocol, one array update per round.
 
 The generic engine treats every node as an opaque state machine — the
 right abstraction for heterogeneous protocols, but O(n) Python work per
-round. The paper's algorithm has no per-node state beyond active/inactive
-and a constant probability, so a whole execution collapses into numpy:
+round. A :class:`~repro.protocols.base.ScheduleProtocol` has no per-node
+state beyond active/inactive (every node shares one clock), so a whole
+execution collapses into numpy:
 
-* coin flips: one ``rng.random(n_active)`` per round;
-* reception: the channel's own decode kernel
-  (:func:`repro.sinr.channel.decode_round`);
-* knockout: a boolean mask update.
+* coin flips: one ``rng.random(n_active) < p(round)`` per round;
+* reception: the channel's array-level round, ``channel.listen`` (fading
+  and intermittent-source draws, the decode kernel and SINR probes
+  included);
+* knockout: the protocol's concede rule over every listener at once.
 
-``fast_fixed_probability_run`` is equivalent to running
-``FixedProbabilityProtocol`` through :class:`repro.sim.engine.Simulation`
-— on the same generator both make the same draws, and the test suite pins
-equal per-trial rounds — just 1–2 orders of magnitude faster for large
-``n``. Use it for scaling studies; use the
-generic engine when you need traces, observers, mixed protocols,
-activation schedules, or radio channels.
+:func:`run_schedule` equals running the protocol's nodes through
+:class:`repro.sim.engine.Simulation` on the same generator: the engine
+draws one ``rng.random()`` per active node in id order and the channel
+draws after all coins, and ``rng.random(k)`` yields the same ``k``
+doubles as ``k`` scalar calls. Both resolve the solving round too, so
+per-trial rounds, active counts and probe rows are equal; the test
+suite pins this for every schedule protocol and channel kind.
+:func:`repro.sim.runner.run_trials` picks this loop for schedule
+protocols unless traces are kept.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ import numpy as np
 
 from repro.obs.probe import get_probe_bus, link_class_round_stats
 from repro.obs.registry import get_registry
-from repro.sinr.channel import SINRChannel, decode_round, emit_sinr_probe
+from repro.protocols.base import ScheduleProtocol
+from repro.protocols.simple import FixedProbabilityProtocol
+from repro.sim.engine import check_capabilities
 from repro.sinr.geometry import NearestActiveNeighbors
 
-__all__ = ["FastRunResult", "fast_fixed_probability_run"]
-
-_EMPTY_IDS = np.empty(0, dtype=np.intp)
+__all__ = ["FastRunResult", "fast_fixed_probability_run", "run_schedule"]
 
 
 @dataclass(frozen=True)
@@ -61,44 +65,24 @@ class FastRunResult:
         return self.solved_round + 1
 
 
-def fast_fixed_probability_run(
-    channel: SINRChannel,
-    p: float,
+def run_schedule(
+    channel,
+    protocol: ScheduleProtocol,
     rng: np.random.Generator,
     max_rounds: int = 100_000,
 ) -> FastRunResult:
-    """Run the paper's algorithm to the first solo round, vectorised.
+    """Run a schedule protocol to its first solo round, vectorised.
 
-    Restrictions (by design): deterministic gain model, no external
-    sources with ``duty_cycle < 1`` (continuous jammers are folded into a
-    static interference vector), simultaneous activation.
-
-    When the global metrics registry is enabled the run feeds the
-    ``fast.*`` counters, so scaling studies show up in telemetry sessions
-    alongside generic-engine runs; the global probe bus receives one
-    round probe per executed round, as from the engine.
+    Every node activates at round 0. When the global metrics registry is
+    enabled the run feeds the ``fast.*`` counters; the global probe bus
+    receives one round probe per executed round, as from the engine.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive (got {max_rounds})")
-    if not channel.gain_model.is_deterministic:
-        raise ValueError(
-            "the fast path supports the deterministic gain model only; "
-            "use the generic engine for fading channels"
-        )
-    if any(not s.is_continuous for s in channel.external_sources):
-        raise ValueError(
-            "the fast path supports continuous external sources only"
-        )
-
-    gains = channel.base_gains
-    params = channel.params
     n = channel.n
-    if channel.external_sources:
-        static_external = channel.external_gains.sum(axis=0)
-    else:
-        static_external = np.zeros(n)
+    probability = protocol.checked_schedule(n)
+    check_capabilities(channel, [protocol])
+    concede, threshold = protocol.concede, protocol.threshold
 
     obs = get_registry()
     recording = obs.enabled
@@ -110,84 +94,67 @@ def fast_fixed_probability_run(
     probing = bus.enabled
     if probing:
         bus.begin_execution(n=n)
-        nearest = NearestActiveNeighbors(channel.distances)
+        distances = getattr(channel, "distances", None)
+        if distances is not None:
+            nearest = NearestActiveNeighbors(distances)
 
     active = np.ones(n, dtype=bool)
     active_counts: List[int] = []
-
+    solved_round = None
+    rounds_executed = 0
     for round_index in range(max_rounds):
         active_ids = np.flatnonzero(active)
         if active_ids.size == 0:
-            if probing:
-                bus.end_execution(round_index, None)
-            return FastRunResult(
-                n=n,
-                solved_round=None,
-                rounds_executed=round_index,
-                active_counts=active_counts,
-            )
-        num_active = int(active_ids.size)
-        active_counts.append(num_active)
-
-        coins = rng.random(active_ids.size) < p
+            break
+        rounds_executed = round_index + 1
+        active_counts.append(int(active_ids.size))
+        coins = rng.random(active_ids.size) < probability(round_index)
         tx = active_ids[coins]
-        if recording:
-            c_rounds.inc()
+        listeners = active_ids[~coins]
         if probing:
             bus.begin_round(round_index)
-        if tx.size == 1:
-            if recording:
-                obs.counter("fast.solved_executions").inc()
-            if probing:
-                # The fast path stops before resolving the solo round, so
-                # its knockout count is 0 here.
-                bus.emit_round(
-                    active_before=num_active,
-                    tx_count=1,
-                    knockouts=0,
-                    class_stats=link_class_round_stats(
-                        channel.distances, active, (), nearest=nearest
-                    ),
-                )
-                bus.end_execution(round_index + 1, round_index)
-            return FastRunResult(
-                n=n,
-                solved_round=round_index,
-                rounds_executed=round_index + 1,
-                active_counts=active_counts,
-            )
-        knockouts = 0
-        knocked_nodes: np.ndarray = _EMPTY_IDS
-        mask_before = active.copy() if probing else None
-        if tx.size > 0:
-            listeners = active_ids[~coins]
-            if listeners.size > 0:
-                decode = decode_round(
-                    gains, tx, listeners, static_external[listeners], params
-                )
-                knocked_nodes = listeners[decode.decoded]
-                knockouts = int(knocked_nodes.size)
-                if probing:
-                    emit_sinr_probe(bus, decode, tx, listeners, params)
-                active[knocked_nodes] = False
-        if recording and knockouts:
-            c_ko.inc(knockouts)
+            mask_before = active.copy()
+        knocked = listeners[concede(channel.listen(tx, listeners, rng), threshold)]
+        active[knocked] = False
+        if recording:
+            c_rounds.inc()
+            if knocked.size:
+                c_ko.inc(int(knocked.size))
         if probing:
             bus.emit_round(
-                active_before=num_active,
-                tx_count=int(tx.size),
-                knockouts=knockouts,
-                knocked_ids=knocked_nodes,
-                class_stats=link_class_round_stats(
-                    channel.distances, mask_before, knocked_nodes, nearest=nearest
+                active_before=active_ids.size,
+                tx_count=tx.size,
+                knockouts=knocked.size,
+                knocked_ids=knocked,
+                class_stats=(
+                    link_class_round_stats(
+                        distances, mask_before, knocked, nearest=nearest
+                    )
+                    if distances is not None
+                    else ()
                 ),
             )
+        if tx.size == 1:
+            solved_round = round_index
+            break
 
+    if recording and solved_round is not None:
+        obs.counter("fast.solved_executions").inc()
     if probing:
-        bus.end_execution(max_rounds, None)
+        bus.end_execution(rounds_executed, solved_round)
     return FastRunResult(
         n=n,
-        solved_round=None,
-        rounds_executed=max_rounds,
+        solved_round=solved_round,
+        rounds_executed=rounds_executed,
         active_counts=active_counts,
     )
+
+
+def fast_fixed_probability_run(
+    channel,
+    p: float,
+    rng: np.random.Generator,
+    max_rounds: int = 100_000,
+) -> FastRunResult:
+    """:func:`run_schedule` of the paper's algorithm at probability ``p``."""
+    return run_schedule(channel, FixedProbabilityProtocol(p), rng, max_rounds)

@@ -29,8 +29,8 @@ shard layout or the scheduling order. Results are reassembled in trial
 order.
 
 One entry loop over ``(trial, deploy_seed, protocol_seed)`` runs every
-trial, in both modes (the generic engine via
-:func:`repro.sim.runner.execute_trial`, or the fast path). A serial run
+trial through :func:`repro.sim.runner.execute_trial`, which picks the
+vectorised loop or the generic engine per protocol. A serial run
 is a single shard iterated in-process, with no queue and no pickling; a
 worker iterates its shard with the same loop and forwards each outcome.
 One tally turns outcomes from either source into ``runner.*``
@@ -84,7 +84,7 @@ and returns an equivalent, reusable channel every call. Both runners then
 build the channel **once per shard** instead of once per trial, so the
 precomputed gain matrix (``base_gains``) is shipped/constructed once and
 shared read-only by every trial in the shard — this is what keeps the
-vectorised fast path's advantage when the deployment is fixed.
+vectorised loop's advantage when the deployment is fixed.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from repro.obs.events import QueueEventSink, get_sink, set_sink
 from repro.obs.probe import ProbeBus, ProbeRecorder, get_probe_bus, set_probe_bus
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.protocols.base import ProtocolFactory
-from repro.sim.fast import fast_fixed_probability_run
+from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.runner import ChannelFactory, TrialStats, execute_trial
 from repro.sim.seeding import SeedLike, spawn_seed_sequences
 
@@ -286,15 +286,13 @@ class _ShardSpec:
     """Everything one shard needs — deliberately pickle-friendly."""
 
     worker_id: int
-    mode: str  # "engine" | "fast"
     channel_factory: ChannelFactory
+    protocol: ProtocolFactory
     max_rounds: int
     keep_traces: bool
     recording: bool
     probing: bool = False
     entries: List[_Entry] = field(default_factory=list)
-    protocol: Optional[ProtocolFactory] = None  # engine mode
-    p: float = 0.0  # fast mode
 
 
 class _TrialOutcome(NamedTuple):
@@ -327,25 +325,15 @@ def _run_entries(
         if probe_bus is not None:
             probe_bus.set_trial(trial)
         started = time.perf_counter()
-        if spec.mode == "engine":
-            result = execute_trial(
-                spec.channel_factory,
-                spec.protocol,
-                deploy_rng,
-                protocol_rng,
-                spec.max_rounds,
-                spec.keep_traces,
-                channel=shared_channel,
-            )
-        else:
-            channel = (
-                shared_channel
-                if shared_channel is not None
-                else spec.channel_factory(deploy_rng)
-            )
-            result = fast_fixed_probability_run(
-                channel, spec.p, protocol_rng, max_rounds=spec.max_rounds
-            )
+        result = execute_trial(
+            spec.channel_factory,
+            spec.protocol,
+            deploy_rng,
+            protocol_rng,
+            spec.max_rounds,
+            spec.keep_traces,
+            channel=shared_channel,
+        )
         yield _TrialOutcome(
             trial,
             result.solved,
@@ -445,7 +433,7 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
             set_registry(registry)
             sink = QueueEventSink(results, spec.worker_id)
             set_sink(sink)
-            sink.emit("worker_start", trials=len(spec.entries), mode=spec.mode)
+            sink.emit("worker_start", trials=len(spec.entries))
         probe_bus = None
         recorder = None
         if spec.probing:
@@ -477,8 +465,8 @@ def _shard_worker(spec: _ShardSpec, results) -> None:
 
 
 def _run(
-    mode: str,
     channel_factory: ChannelFactory,
+    protocol: ProtocolFactory,
     trials: int,
     seed: SeedLike,
     max_rounds: int,
@@ -486,8 +474,6 @@ def _run(
     workers: Optional[int],
     start_method: Optional[str],
     shard_attempts: int,
-    protocol: Optional[ProtocolFactory] = None,
-    p: float = 0.0,
 ) -> TrialStats:
     """The front end every runner shares: validate, shard, run, tally.
 
@@ -503,15 +489,14 @@ def _run(
         raise ValueError(f"workers must be positive (got {workers})")
     if shard_attempts < 1:
         raise ValueError(f"shard_attempts must be positive (got {shard_attempts})")
-    name = protocol.name if mode == "engine" else f"fast-simple(p={p:g})"
     recording = get_registry().enabled
     probe_bus = get_probe_bus()
     sequences = spawn_seed_sequences(seed, 2 * trials)
     specs = [
         _ShardSpec(
             worker_id=worker_id,
-            mode=mode,
             channel_factory=channel_factory,
+            protocol=protocol,
             max_rounds=max_rounds,
             keep_traces=keep_traces,
             recording=recording,
@@ -520,16 +505,14 @@ def _run(
                 (trial, sequences[2 * trial], sequences[2 * trial + 1])
                 for trial in shard
             ],
-            protocol=protocol,
-            p=p,
         )
         for worker_id, shard in enumerate(partition_trials(trials, workers))
     ]
     if len(specs) > 1:
         return _execute_sharded(
-            specs, name, trials, keep_traces, start_method, shard_attempts
+            specs, protocol.name, trials, keep_traces, start_method, shard_attempts
         )
-    tally = _Tally(name, trials, keep_traces)
+    tally = _Tally(protocol.name, trials, keep_traces)
     for outcome in _run_entries(specs[0], probe_bus if probe_bus.enabled else None):
         tally.record(outcome)
     return tally.finish()
@@ -713,8 +696,8 @@ def run_trials_parallel(
     trials (the failure model in docs/parallelism.md).
     """
     return _run(
-        "engine",
         channel_factory,
+        protocol,
         trials,
         seed,
         max_rounds,
@@ -722,7 +705,6 @@ def run_trials_parallel(
         workers,
         start_method,
         shard_attempts,
-        protocol=protocol,
     )
 
 
@@ -737,35 +719,22 @@ def run_fast_trials(
     batch: int = 1,
     shard_attempts: int = DEFAULT_SHARD_ATTEMPTS,
 ) -> TrialStats:
-    """Repeat :func:`~repro.sim.fast.fast_fixed_probability_run` over trials.
+    """:func:`run_trials_parallel` of the paper's algorithm at probability ``p``.
 
-    The fast-path sibling of :func:`~repro.sim.runner.run_trials`: the
-    same ``(seed, trial)`` generator tree (children ``2t`` / ``2t + 1``
-    for deployment and coin flips), the same entry loop, ``runner.*``
-    telemetry and heartbeats, the same :class:`~repro.sim.runner.TrialStats`
-    — but each trial is one vectorised execution of the paper's
-    algorithm instead of a generic-engine run. Large-``n`` scaling
-    studies (E1/E17, the parallel benchmarks) live here.
-
-    ``workers > 1`` shards trials exactly like ``run_trials_parallel``;
-    with a :data:`deterministic <DETERMINISTIC_ATTR>` factory the channel
-    (and its gain matrix) is built once per shard and shared read-only.
-    ``batch`` is accepted for compatibility and must be 1: trials always
-    run one at a time.
+    Kept for callers that pass ``p`` rather than a protocol; it runs
+    ``FixedProbabilityProtocol(p)`` on the same seed tree and the same
+    vectorised loop as :func:`~repro.sim.runner.run_trials` does.
+    ``batch`` is accepted for compatibility and must be 1.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"broadcast probability must be in (0, 1] (got {p})")
     if batch != 1:
         raise ValueError(f"batch must be 1; trials run one at a time (got {batch})")
-    return _run(
-        "fast",
+    return run_trials_parallel(
         channel_factory,
+        FixedProbabilityProtocol(p),
         trials,
-        seed,
-        max_rounds,
-        False,
-        workers,
-        start_method,
-        shard_attempts,
-        p=p,
+        seed=seed,
+        max_rounds=max_rounds,
+        workers=workers,
+        start_method=start_method,
+        shard_attempts=shard_attempts,
     )

@@ -4,19 +4,23 @@ Every quantitative claim in the paper is "with high probability", so a
 single execution proves nothing — experiments repeat executions over
 independently seeded trials and summarise the distribution of solving
 rounds. :func:`run_trials` is the one entry point all experiments and
-benchmarks share.
+benchmarks share, and :func:`execute_trial` picks each trial's runner:
+a :class:`~repro.protocols.base.ScheduleProtocol` runs on the vectorised
+loop (:func:`repro.sim.fast.run_schedule`) unless traces are kept;
+everything else runs on the engine (:class:`repro.sim.engine.Simulation`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from repro.protocols.base import ProtocolFactory
+from repro.protocols.base import ProtocolFactory, ScheduleProtocol
 from repro.sim.engine import Simulation
+from repro.sim.fast import FastRunResult, run_schedule
 from repro.sim.seeding import SeedLike
 from repro.sim.trace import ExecutionTrace
 
@@ -120,18 +124,22 @@ def execute_trial(
     max_rounds: int,
     keep_trace: bool,
     channel: Optional[object] = None,
-) -> ExecutionTrace:
-    """Execute exactly one generic-engine trial.
+) -> Union[ExecutionTrace, FastRunResult]:
+    """Execute exactly one trial, on the runner the protocol allows.
 
-    The engine-mode body of the one entry loop in :mod:`repro.sim.parallel`,
-    which serial runs and shard workers both iterate, so parity between
-    serial and sharded execution holds by construction, not by
-    coincidence. ``channel`` short-circuits the factory for deterministic
-    deployments whose channel is safely reusable across trials (see
-    :data:`~repro.sim.parallel.DETERMINISTIC_ATTR`).
+    A :class:`~repro.protocols.base.ScheduleProtocol` runs on the
+    vectorised loop unless ``keep_trace`` asks for per-round records;
+    anything else runs on the generic engine. Both make the same draws,
+    so the choice never changes a result. This is the body of the one
+    entry loop in :mod:`repro.sim.parallel`, which serial runs and shard
+    workers both iterate. ``channel`` short-circuits the factory for
+    deterministic deployments whose channel is safely reusable across
+    trials (see :data:`~repro.sim.parallel.DETERMINISTIC_ATTR`).
     """
     if channel is None:
         channel = channel_factory(deploy_rng)
+    if isinstance(protocol, ScheduleProtocol) and not keep_trace:
+        return run_schedule(channel, protocol, protocol_rng, max_rounds)
     nodes = protocol.build(channel.n)
     simulation = Simulation(
         channel,
@@ -158,7 +166,9 @@ def run_trials(
     Each trial spawns two independent generators from ``(seed, trial)`` —
     one for the channel factory (deployment sampling, fading) and one for
     the protocol's coin flips — so deployment randomness and protocol
-    randomness can be varied independently in ablations.
+    randomness can be varied independently in ablations. Each trial runs
+    on the runner :func:`execute_trial` picks; ``keep_traces`` keeps
+    every trial on the engine, whose traces it returns.
 
     ``workers`` shards the trials across a process pool
     (:func:`repro.sim.parallel.run_trials_parallel`) while preserving

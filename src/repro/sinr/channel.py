@@ -16,10 +16,11 @@ any signal does — for every ``beta``. The channel decodes the strongest
 clearing signal (the capture effect), so resolving a round needs only the
 per-listener argmax. When ``beta >= 1`` that decode is additionally unique.
 
-:func:`decode_round` is that rule, written once: the channel's
-:meth:`SINRChannel.resolve` and the vectorised fast path
-(:mod:`repro.sim.fast`) both call it, and both publish SINR probes
-through :func:`emit_sinr_probe`.
+:func:`decode_round` is that rule, written once. Its one caller is
+:meth:`SINRChannel.listen`, the array-level round that also draws the
+round's fading gains and intermittent sources and publishes the SINR
+probe; :meth:`SINRChannel.resolve` (the engine's entry) and the
+vectorised loop (:mod:`repro.sim.fast`) both go through it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 
 from repro.obs.probe import get_probe_bus
 from repro.obs.registry import get_registry
+from repro.radio.channel import Hearing
 from repro.sinr.fading import DeterministicGain, GainModel
 from repro.sinr.geometry import (
     as_positions,
@@ -282,8 +284,7 @@ class SINRChannel:
         """Per-source external gain rows, ``(num_sources, n)`` (read-only view).
 
         Row ``s`` is the power source ``s`` lands on each node when on
-        the air; the fast paths fold continuous sources into a static
-        interference vector by summing these rows.
+        the air.
         """
         view = self._external_gains.view()
         view.flags.writeable = False
@@ -353,18 +354,49 @@ class SINRChannel:
             listen_mask = np.zeros(self.n, dtype=bool)
             listen_mask[listen_ids] = True
         listen_mask[tx] = False
+        listener_ids = np.flatnonzero(listen_mask)
 
-        if not listen_mask.any():
-            return ReceptionReport(transmitters=tuple(int(i) for i in tx))
-        if tx.size == 0:
+        heard = self.listen(tx, listener_ids, rng)
+        decoded = heard.received >= 0
+        received = dict(
+            zip(listener_ids[decoded].tolist(), heard.received[decoded].tolist())
+        )
+        # Everyone measures energy when someone transmits; on silent
+        # rounds only listeners that sense an external source do.
+        measured = heard.energy > 0.0 if tx.size == 0 else slice(None)
+        energy = dict(
+            zip(listener_ids[measured].tolist(), heard.energy[measured].tolist())
+        )
+        return ReceptionReport(
+            transmitters=tuple(tx.tolist()),
+            received_from=received,
+            energy=energy,
+        )
+
+    def listen(
+        self,
+        tx: np.ndarray,
+        listeners: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Hearing:
+        """One round at array level: what each listener hears.
+
+        ``tx`` and ``listeners`` are disjoint arrays of node ids. Draws,
+        in this order and only when needed: the fading gains (someone
+        transmits and someone listens), then the intermittent sources
+        (someone listens). With the probe bus enabled it publishes the
+        round's SINR probe. ``rng`` is required when either draw happens.
+        """
+        no_collision = np.broadcast_to(False, listeners.shape)
+        if listeners.size == 0 or tx.size == 0:
             # Nothing to decode; listeners may still sense external energy.
-            external = self._external_interference(listen_mask, rng)
-            energy = {
-                int(node): float(value)
-                for node, value in zip(np.flatnonzero(listen_mask), external)
-                if value > 0.0
-            }
-            return ReceptionReport(transmitters=(), energy=energy)
+            energy = (
+                self._external_interference(listeners, rng)
+                if listeners.size
+                else np.zeros(0)
+            )
+            silent = np.full(listeners.shape, -1, dtype=np.intp)
+            return Hearing(silent, energy, no_collision)
 
         if self.gain_model.is_deterministic:
             gains = self._base_gains
@@ -373,34 +405,20 @@ class SINRChannel:
                 raise ValueError("a stochastic gain model requires an rng")
             gains = self.gain_model.round_gains(self._base_gains, rng)
 
-        external = self._external_interference(listen_mask, rng)
-        decode = decode_round(gains, tx, listen_mask, external, self.params)
-        listener_ids = np.flatnonzero(listen_mask)
+        external = self._external_interference(listeners, rng)
+        decode = decode_round(gains, tx, listeners, external, self.params)
         bus = get_probe_bus()
         if bus.enabled:
-            emit_sinr_probe(bus, decode, tx, listener_ids, self.params)
-
-        received = {
-            int(listener_ids[col]): int(tx[decode.best_rows[col]])
-            for col in np.flatnonzero(decode.decoded)
-        }
-        energy = {
-            int(listener_ids[col]): float(decode.totals[col])
-            for col in range(listener_ids.size)
-        }
-        return ReceptionReport(
-            transmitters=tuple(int(i) for i in tx),
-            received_from=received,
-            energy=energy,
-        )
+            emit_sinr_probe(bus, decode, tx, listeners, self.params)
+        received = np.where(decode.decoded, tx[decode.best_rows], -1)
+        return Hearing(received, decode.totals, no_collision)
 
     def _external_interference(
-        self, listen_mask: np.ndarray, rng: Optional[np.random.Generator]
+        self, listeners: np.ndarray, rng: Optional[np.random.Generator]
     ) -> np.ndarray:
         """Arriving external power per listener for one round."""
-        num_listeners = int(listen_mask.sum())
         if not self.external_sources:
-            return np.zeros(num_listeners)
+            return np.zeros(listeners.size)
         duty_cycles = np.asarray([s.duty_cycle for s in self.external_sources])
         if np.all(duty_cycles >= 1.0):
             on_air = np.ones(len(self.external_sources), dtype=bool)
@@ -411,8 +429,8 @@ class SINRChannel:
                 )
             on_air = rng.random(len(self.external_sources)) < duty_cycles
         if not on_air.any():
-            return np.zeros(num_listeners)
-        return self._external_gains[on_air][:, listen_mask].sum(axis=0)
+            return np.zeros(listeners.size)
+        return self._external_gains[on_air][:, listeners].sum(axis=0)
 
     def sinr(self, sender: int, receiver: int, interferers: Sequence[int]) -> float:
         """Point SINR of Equation 1 for explicit sets — used by tests."""

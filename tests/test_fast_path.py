@@ -1,4 +1,4 @@
-"""Tests for the vectorised fast path: restrictions + equivalence."""
+"""Tests for the vectorised loop: channel kinds, behaviour, equivalence."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.deploy.topologies import uniform_disk
 from repro.protocols.simple import FixedProbabilityProtocol
 from repro.sim.engine import Simulation
+from repro.sim.trace import ExecutionTrace
 from repro.sim.fast import fast_fixed_probability_run
 from repro.sim.seeding import generator_from, spawn_generators
 from repro.sinr.channel import SINRChannel
@@ -13,20 +14,37 @@ from repro.sinr.fading import RayleighFading
 from repro.sinr.jamming import ExternalSource
 
 
-class TestRestrictions:
-    def test_rejects_fading_channel(self, rng):
-        channel = SINRChannel(uniform_disk(8, rng), gain_model=RayleighFading())
-        with pytest.raises(ValueError, match="deterministic"):
-            fast_fixed_probability_run(channel, p=0.1, rng=rng)
+def _engine_run(channel, p, seed):
+    nodes = FixedProbabilityProtocol(p).build(channel.n)
+    return Simulation(channel, nodes, rng=generator_from(seed)).run()
 
-    def test_rejects_intermittent_jammer(self, rng):
+
+class TestChannelKinds:
+    """Fading and intermittent sources draw from the protocol's generator,
+    in the engine's order, so the loop runs them round for round alike."""
+
+    @staticmethod
+    def _assert_matches_engine(channel, seed):
+        trace = _engine_run(channel, 0.1, seed)
+        result = fast_fixed_probability_run(channel, 0.1, generator_from(seed))
+        assert result.solved_round == trace.solved_round
+        assert result.active_counts == [len(r.active_before) for r in trace.records]
+
+    def test_fading_channel_matches_engine(self):
+        for seed in (1, 2, 3):
+            positions = uniform_disk(24, generator_from(seed))
+            channel = SINRChannel(positions, gain_model=RayleighFading())
+            self._assert_matches_engine(channel, seed)
+
+    def test_intermittent_jammer_matches_engine(self):
         jammer = ExternalSource((0.5, 50.0), power=10.0, duty_cycle=0.5)
-        channel = SINRChannel(
-            [(0.0, 0.0), (1.0, 0.0)], external_sources=[jammer]
-        )
-        with pytest.raises(ValueError, match="continuous"):
-            fast_fixed_probability_run(channel, p=0.1, rng=rng)
+        for seed in (1, 2, 3):
+            positions = uniform_disk(24, generator_from(seed))
+            channel = SINRChannel(positions, external_sources=[jammer])
+            self._assert_matches_engine(channel, seed)
 
+
+class TestRestrictions:
     def test_accepts_continuous_jammer(self, rng):
         jammer = ExternalSource((0.5, 50.0), power=10.0, duty_cycle=1.0)
         channel = SINRChannel(
@@ -75,15 +93,14 @@ class TestBehaviour:
 
 
 class TestEngineExactParity:
-    """E1's fast-path conversion contract: bit-identical, not just equal in
+    """The runner choice is invisible: bit-identical, not just equal in
     distribution.
 
-    For the paper's fixed-``p`` algorithm on a deterministic SINR channel,
-    ``run_fast_trials`` consumes the identical ``(seed, trial)`` generator
-    tree and the identical coin-flip stream as ``FixedProbabilityProtocol``
-    through the generic engine, and computes the identical decode — so the
-    per-trial round counts match exactly. E1 relies on this to switch
-    runners without changing a single recorded number."""
+    ``run_fast_trials`` runs ``FixedProbabilityProtocol`` on the
+    vectorised loop; ``run_trials(keep_traces=True)`` runs it through
+    :class:`Simulation`. Both consume the identical ``(seed, trial)``
+    generator tree and coin-flip stream and compute the identical
+    decode, so the per-trial round counts match exactly."""
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_run_trials_matches_run_fast_trials_exactly(self, n):
@@ -104,7 +121,9 @@ class TestEngineExactParity:
             trials,
             seed=seed,
             max_rounds=budget,
+            keep_traces=True,
         )
+        assert all(isinstance(trace, ExecutionTrace) for trace in engine.traces)
         fast = run_fast_trials(
             factory, p, trials=trials, seed=seed, max_rounds=budget
         )

@@ -1,15 +1,13 @@
-"""Fast-path telemetry parity: the vectorised run must report the same
+"""Vectorised-loop telemetry parity: the loop must report the same
 per-round story the generic engine's observers see on a shared seed.
 
 Both paths draw the same RNG stream (``n_active`` uniform doubles per
 round, ascending node order), so on a deterministic channel the two
 executions are identical round for round — which makes telemetry parity
-an *exact* assertion, not a distributional one. The fast path's per-round
+an *exact* assertion, not a distributional one. The loop's per-round
 rows are its round probes, ``(round, active_before, tx_count, knockouts)``
-as a :class:`ProbeRecorder` stores them. The one sanctioned difference:
-the fast path stops before resolving the solving round, so that final
-round reports 0 knockouts while the engine records the knockouts caused
-by the solo transmission.
+as a :class:`ProbeRecorder` stores them. Both resolve the solving round,
+so its knockouts agree too.
 """
 
 import pytest
@@ -76,11 +74,10 @@ def test_round_counts_match_engine_observer(n, seed):
     assert trace.solved and result.solved
     assert result.solved_round == trace.solved_round
     assert len(fast_rows) == len(engine_rows) == trace.rounds_executed
-    # (round, active, transmitters) agree on every round...
-    assert [row[:3] for row in fast_rows] == [row[:3] for row in engine_rows]
-    # ...and knockouts agree on every round but the solving one.
-    assert [row[3] for row in fast_rows[:-1]] == [row[3] for row in engine_rows[:-1]]
-    assert fast_rows[-1][3] == 0  # fast path stops before resolving the solo
+    # (round, active, transmitters, knockouts) agree on every round,
+    # the solving one included.
+    assert fast_rows == engine_rows
+    assert fast_rows[-1][3] > 0  # the solo transmission knocks listeners out
 
 
 def test_fast_telemetry_matches_result_fields():
@@ -121,10 +118,10 @@ def test_fast_metrics_match_engine_metrics_on_shared_seed():
     )
     assert fast_registry.counter("fast.executions").value == 1
     assert fast_registry.counter("fast.solved_executions").value == 1
-    # Engine knockouts exceed fast knockouts exactly by the solo round's.
-    engine_ko = engine_registry.counter("sim.knockouts").value
-    fast_ko = fast_registry.counter("fast.knockouts").value
-    assert engine_ko >= fast_ko
+    assert (
+        fast_registry.counter("fast.knockouts").value
+        == engine_registry.counter("sim.knockouts").value
+    )
 
 
 def test_no_registry_records_when_disabled():

@@ -224,13 +224,16 @@ class TestFastParity:
             run_fast_trials(FACTORIES["deterministic"], 1.5, trials=2)
 
 
-def _engine_trials(workers):
+def _engine_trials(workers, keep_traces=True):
+    # Keeping traces holds a schedule protocol on the engine (sim.*);
+    # without them run_trials routes it to the vectorised loop (fast.*).
     return run_trials(
         FACTORIES["stochastic"],
         _protocol(),
         trials=TRIALS,
         seed=SEED,
         max_rounds=MAX_ROUNDS,
+        keep_traces=keep_traces,
         workers=workers,
     )
 
@@ -254,6 +257,10 @@ def _fast_trials(kind):
 _FAST_COUNTERS = ("fast.rounds", "fast.executions")
 TELEMETRY_RUNNERS = {
     "engine": (_engine_trials, ("sim.rounds", "sim.executions")),
+    "routed": (
+        lambda workers: _engine_trials(workers, keep_traces=False),
+        _FAST_COUNTERS + ("fast.knockouts",),
+    ),
     "fast-deterministic": (_fast_trials("deterministic"), _FAST_COUNTERS),
     "fast-stochastic": (_fast_trials("stochastic"), _FAST_COUNTERS),
 }
@@ -278,6 +285,7 @@ class TestTelemetryParity:
         [
             pytest.param("engine", 2, id="2"),
             pytest.param("engine", 4, id="4"),
+            pytest.param("routed", 2, id="routed-2"),
             pytest.param("fast-deterministic", 2, id="fast-deterministic-2"),
             pytest.param("fast-stochastic", 2, id="fast-stochastic-2"),
         ],
@@ -347,12 +355,14 @@ class TestProbeParity:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_engine_probe_artifacts_match_serial(self, workers):
         def runner(w):
+            # Keeping traces holds the schedule protocol on the engine.
             return run_trials(
                 FACTORIES["deterministic"],
                 _protocol(),
                 trials=6,
                 seed=SEED,
                 max_rounds=MAX_ROUNDS,
+                keep_traces=True,
                 workers=w,
             )
 

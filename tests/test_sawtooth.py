@@ -15,7 +15,30 @@ from repro.sim.runner import run_trials
 from repro.sim.seeding import generator_from
 
 
+def _walked_window(round_index, max_exponent):
+    """The reference: walk the windows 2, 4, ..., 2^m of one cycle."""
+    cycle_length = sum(2**e for e in range(1, max_exponent + 1))
+    position = round_index % cycle_length
+    for exponent in range(1, max_exponent + 1):
+        if position < 2**exponent:
+            return 2**exponent
+        position -= 2**exponent
+    raise AssertionError("position exceeded the cycle length")
+
+
 class TestWindowSchedule:
+    @pytest.mark.parametrize("max_exponent", [1, 2, 3, 5])
+    def test_matches_window_walk_over_three_cycles(self, max_exponent):
+        cycle_length = 2 ** (max_exponent + 1) - 2
+        for round_index in range(3 * cycle_length):
+            assert _window_of_round(round_index, max_exponent) == _walked_window(
+                round_index, max_exponent
+            ), round_index
+
+    def test_matches_window_walk_at_the_default_cap(self):
+        for round_index in range(0, 200_000, 7):
+            assert _window_of_round(round_index, 20) == _walked_window(round_index, 20)
+
     def test_first_windows(self):
         # Windows 2, 4, 8: rounds 0-1 size 2, rounds 2-5 size 4, 6-13 size 8.
         assert _window_of_round(0, max_exponent=3) == 2

@@ -37,20 +37,23 @@ def scoped_registry():
     set_registry(previous)
 
 
-def _run_batch(trials=4, n=16, seed=3):
+def _run_batch(trials=4, n=16, seed=3, keep_traces=False):
     return run_trials(
         channel_factory=lambda rng: SINRChannel(uniform_disk(n, rng)),
         protocol=FixedProbabilityProtocol(p=0.1),
         trials=trials,
         seed=seed,
         max_rounds=5_000,
+        keep_traces=keep_traces,
     )
 
 
 class TestInstrumentedHotPaths:
     def test_engine_and_channel_metrics(self, scoped_registry):
-        stats = _run_batch(trials=3)
+        # Keeping traces holds the batch on the engine and its resolves.
+        stats = _run_batch(trials=3, keep_traces=True)
         snapshot = scoped_registry.snapshot()
+        assert not any(name.startswith("fast.") for name in snapshot)
         assert snapshot["sim.executions"]["value"] == 3
         assert snapshot["sim.rounds"]["value"] == stats.total_rounds_executed
         assert snapshot["runner.trials"]["value"] == 3
@@ -61,6 +64,19 @@ class TestInstrumentedHotPaths:
         assert snapshot["channel.sinr.resolve_seconds"]["sum"] > 0.0
         assert snapshot["sim.transmitters_per_round"]["count"] == (
             stats.total_rounds_executed
+        )
+
+    def test_routed_batch_feeds_fast_metrics(self, scoped_registry):
+        # Without traces the schedule protocol runs on the vectorised
+        # loop: round work lands on fast.*, never on sim.* / channel.*.
+        stats = _run_batch(trials=3)
+        snapshot = scoped_registry.snapshot()
+        assert snapshot["fast.executions"]["value"] == 3
+        assert snapshot["fast.rounds"]["value"] == stats.total_rounds_executed
+        assert snapshot["fast.solved_executions"]["value"] == len(stats.rounds)
+        assert snapshot["runner.trials"]["value"] == 3
+        assert not any(
+            name.startswith(("sim.", "channel.")) for name in snapshot
         )
 
     def test_radio_channel_metrics(self, scoped_registry):
@@ -125,7 +141,8 @@ class TestTelemetrySession:
         with TelemetrySession(directory, seed=11, command="test") as session:
             assert get_registry() is session.registry
             assert get_registry().enabled
-            _run_batch(trials=2)
+            _run_batch(trials=2, keep_traces=True)
+            _run_batch(trials=3)
             session.emit("milestone", detail="batch done")
 
         manifest = RunManifest.load(directory / "manifest.json")
@@ -136,6 +153,8 @@ class TestTelemetrySession:
 
         metrics = json.loads((directory / "metrics.json").read_text())
         assert metrics["sim.executions"]["value"] == 2
+        assert metrics["fast.executions"]["value"] == 3
+        assert metrics["runner.trials"]["value"] == 5
 
         kinds = [e["event"] for e in read_events(directory / "events.jsonl")]
         assert kinds[0] == "session_start"

@@ -65,7 +65,34 @@ class TestClosedForms:
             decay_sweep_success_lower_bound(4, size_bound=2)
 
 
+def _scalar_cd_tournament_rounds(n, p=0.5):
+    """The reference: the recurrence one Python float at a time."""
+    expected = {1: 1.0 / p}
+    log_p, log_q = math.log(p), math.log(1.0 - p)
+    for k in range(2, n + 1):
+        pmf = [
+            math.exp(
+                math.lgamma(k + 1)
+                - math.lgamma(j + 1)
+                - math.lgamma(k - j + 1)
+                + j * log_p
+                + (k - j) * log_q
+            )
+            for j in range(k + 1)
+        ]
+        cross = sum(pmf[j] * expected[j] for j in range(2, k))
+        expected[k] = (1.0 + cross) / (1.0 - pmf[0] - pmf[k])
+    return expected[n]
+
+
 class TestCdTournamentRecursion:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 256])
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_matches_scalar_recursion(self, n, p):
+        assert cd_tournament_expected_rounds(n, p) == pytest.approx(
+            _scalar_cd_tournament_rounds(n, p), rel=1e-12
+        )
+
     def test_single_contender_is_geometric(self):
         assert cd_tournament_expected_rounds(1, p=0.25) == pytest.approx(4.0)
 
